@@ -8,6 +8,9 @@ The file is merge-written: re-measuring one experiment updates its entry
 and leaves the others alone.  Sweeps run serially (``jobs=1``) -- the
 event meter only sees the measuring process, and serial runs make the
 throughput number comparable across hosts with different core counts.
+Event counts fingerprint the default configuration, so the harness takes
+only ``REPRO_SANITIZE`` from the environment and reports any other
+``REPRO_*`` knob it ignores.
 
 Run directly::
 
@@ -25,6 +28,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Optional
 
 from repro.apps.synthetic import UniformApp
+from repro.config import RunConfig, configured
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.figure3 import run_figure3
 from repro.experiments.figure4 import run_figure4
@@ -200,6 +204,17 @@ def check(
 
 
 def main(argv: Optional[Iterable[str]] = None) -> None:
+    env = RunConfig.from_env()
+    # Event counts fingerprint the default run, so only the sanitizer (an
+    # observer that never changes a run) is taken from the environment.
+    config = RunConfig(sanitize=env.sanitize)
+    if env != config:
+        print(f"measuring {config}; ignoring the other knobs of {env}")
+    with configured(config):
+        _main(argv)
+
+
+def _main(argv: Optional[Iterable[str]]) -> None:
     names = list(argv if argv is not None else sys.argv[1:])
     checking = "--check" in names
     if checking:

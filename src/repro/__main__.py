@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 
 from repro import __version__, quick_compare
+from repro.config import RunConfig, configured
 from repro.metrics import format_table
 from repro.scenarios.cli import add_scenarios_parser, run_from_args
 
@@ -60,10 +61,14 @@ def main() -> int:
     subparsers = parser.add_subparsers(dest="command")
     add_scenarios_parser(subparsers)
     args = parser.parse_args()
-
-    if args.command == "scenarios":
-        return run_from_args(args)
-    return _run_demo(args)
+    try:
+        config = RunConfig.from_env()
+    except ValueError as exc:
+        parser.error(str(exc))
+    with configured(config):
+        if args.command == "scenarios":
+            return run_from_args(args)
+        return _run_demo(args)
 
 
 if __name__ == "__main__":

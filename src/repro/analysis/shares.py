@@ -27,12 +27,14 @@ def jain_fairness(shares: Mapping[str, float]) -> float:
 
     ``(sum x)^2 / (n * sum x^2)``; 1.0 when all equal, ``1/n`` when one
     member holds everything.  An empty map is defined as perfectly fair.
+    The index is scale-free, so shares are divided by the largest before
+    squaring: tiny shares would otherwise square into subnormals and push
+    the index above 1.
     """
     values = [v for v in shares.values() if v >= 0]
-    if not values:
+    peak = max(values, default=0)
+    if peak == 0:
         return 1.0
-    total = sum(values)
-    squares = sum(v * v for v in values)
-    if squares == 0:
-        return 1.0
-    return (total * total) / (len(values) * squares)
+    scaled = [v / peak for v in values]
+    total = sum(scaled)
+    return (total * total) / (len(scaled) * sum(v * v for v in scaled))

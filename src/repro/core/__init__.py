@@ -23,7 +23,6 @@
 """
 
 from repro.core.allocation import (
-    POLICY_ENV_VAR,
     POLICY_NAMES,
     AllocationPolicy,
     AllocationRequest,
@@ -33,7 +32,7 @@ from repro.core.allocation import (
     WeightedPolicy,
     make_policy,
 )
-from repro.core.plane import SHARDS_ENV_VAR, ControlPlane
+from repro.core.plane import ControlPlane
 from repro.core.policy import partition_processors
 from repro.core.server import ProcessControlServer
 
@@ -43,10 +42,8 @@ __all__ = [
     "ControlPlane",
     "DemandPolicy",
     "EquipartitionPolicy",
-    "POLICY_ENV_VAR",
     "POLICY_NAMES",
     "ProcessControlServer",
-    "SHARDS_ENV_VAR",
     "SpaceAwarePolicy",
     "WeightedPolicy",
     "make_policy",

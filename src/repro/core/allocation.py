@@ -57,16 +57,6 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.policy import partition_processors
 
-#: Environment knob consulted by ``run_scenario`` when the scenario leaves
-#: ``policy`` unset (the experiments CLI sets it from ``--policy``).
-POLICY_ENV_VAR = "REPRO_POLICY"
-
-#: Environment knob holding a per-application weight table (the experiments
-#: CLI sets it from ``--weights``); consulted by ``run_scenario`` when no
-#: explicit policy wins the resolution.
-WEIGHTS_ENV_VAR = "REPRO_WEIGHTS"
-
-
 def parse_weights(spec: str) -> Dict[str, float]:
     """Parse a weight-table spec like ``"fft=2,sort=0.5"``.
 

@@ -35,11 +35,6 @@ from repro.kernel import Kernel
 from repro.kernel.ipc import Channel, ControlBoard
 from repro.kernel.process import Process
 
-#: Environment knob consulted by ``run_scenario`` when the scenario leaves
-#: ``shards`` unset (the experiments CLI sets it from ``--shards``).
-SHARDS_ENV_VAR = "REPRO_SHARDS"
-
-
 class _RoutedBoard:
     """A per-application view that follows the plane's shard routing.
 

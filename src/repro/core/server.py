@@ -25,8 +25,6 @@ mechanism by which the paper's centralized bottleneck scales out.
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.allocation import (
@@ -41,29 +39,6 @@ from repro.kernel import syscalls as sc
 from repro.kernel.ipc import Channel, ControlBoard
 from repro.kernel.process import Process
 from repro.sim import units
-
-
-#: One-time guard for the legacy-registration deprecation warning (module
-#: level, so a fleet of sharded servers does not repeat it per shard).
-_legacy_registration_warned = False
-
-
-def _warn_legacy_registration(app_id: str) -> None:
-    """Deprecation notice for 3-tuple ``("register", app_id, root_pid)``
-    messages; senders should include their initial backlog as a fourth
-    field so demand-aware policies see the application from round one."""
-    global _legacy_registration_warned
-    if _legacy_registration_warned:
-        return
-    _legacy_registration_warned = True
-    warnings.warn(
-        f"application {app_id!r} registered with the legacy 3-tuple "
-        "('register', app_id, root_pid); send ('register', app_id, "
-        "root_pid, initial_backlog) instead -- the 3-tuple form is "
-        "deprecated and will be removed",
-        DeprecationWarning,
-        stacklevel=2,
-    )
 
 
 class ProcessControlServer:
@@ -155,10 +130,10 @@ class ProcessControlServer:
         #: Sorted-cap structure mirroring ``_my_apps``; gives the default
         #: equipartition rule O(log n) updates per application change.
         self._filler = IncrementalWaterFiller()
-        #: Under REPRO_SANITIZE, re-derive every fast-scan round from
-        #: first principles (batch water-filling over a fresh snapshot)
-        #: and fail loudly on any divergence.
-        self._check_scans = bool(os.environ.get("REPRO_SANITIZE"))
+        #: Armed by SchedSanitizer.watch_server: re-derive every fast-scan
+        #: round from first principles (batch water-filling over a fresh
+        #: snapshot) and fail loudly on any divergence.
+        self._check_scans = False
 
     # ------------------------------------------------------------------
     # Sharding
@@ -425,7 +400,7 @@ class ProcessControlServer:
     def _check_fast_scan(
         self, targets: Dict[str, int], capacity: int, uncontrolled: int
     ) -> None:
-        """REPRO_SANITIZE oracle: the incremental allocation must equal the
+        """Sanitizer-armed oracle: the incremental allocation must equal the
         batch rule on the same inputs, and the replayed views must equal
         the filler's.  (The census counters themselves are cross-checked
         against a real table walk inside the kernel's syscall handler,
@@ -517,16 +492,10 @@ class ProcessControlServer:
             # each actual receive is charged normally.
             while len(self.channel):
                 message = yield sc.ChannelReceive(self.channel)
-                # Legacy senders omit the trailing backlog field.
-                kind, app_id, root_pid, *extra = message
+                kind, app_id, root_pid, backlog = message
                 if kind == "register":
                     self.registered[app_id] = root_pid
-                    if extra:
-                        self.board.report_demand(
-                            app_id, extra[0], self.kernel.now
-                        )
-                    else:
-                        _warn_legacy_registration(app_id)
+                    self.board.report_demand(app_id, backlog, self.kernel.now)
                     self.kernel.trace.emit(
                         self.kernel.now,
                         "server.register",

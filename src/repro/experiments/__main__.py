@@ -9,20 +9,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
 
-from repro.core.allocation import (
-    POLICY_ENV_VAR,
-    POLICY_NAMES,
-    WEIGHTS_ENV_VAR,
-    parse_weights,
-)
-from repro.core.plane import SHARDS_ENV_VAR
-from repro.experiments.parallel import JOBS_ENV_VAR
+from repro.config import RunConfig, configured
+from repro.core.allocation import POLICY_NAMES
 from repro.faults.campaign import main as chaos_main
-from repro.faults.plan import FAULTS_ENV_VAR
-from repro.resilience.watchdog import SUPERVISE_ENV_VAR
-from repro.sanitize.invariants import SANITIZE_ENV_VAR
 from repro.experiments import (
     ablations,
     claims,
@@ -138,39 +128,26 @@ def main() -> None:
         "$REPRO_SUPERVISE=1; see docs/RESILIENCE.md)",
     )
     args = parser.parse_args()
-    if args.jobs is not None:
-        # The sweep runners consult REPRO_JOBS; routing the flag through
-        # the environment reaches every experiment without threading a
-        # jobs parameter into each main().
-        os.environ[JOBS_ENV_VAR] = str(args.jobs)
-    if args.sanitize is not None:
-        # Same routing trick as --jobs: run_scenario consults the env var,
-        # and the sweep runners re-export it to their worker processes.
-        os.environ[SANITIZE_ENV_VAR] = args.sanitize
-    if args.faults is not None:
-        os.environ[FAULTS_ENV_VAR] = args.faults
-    if args.policy is not None:
-        # Same env routing as --jobs: run_scenario resolves the policy for
-        # every scenario that leaves Scenario.policy unset.
-        os.environ[POLICY_ENV_VAR] = args.policy
-    if args.weights is not None:
-        try:
-            parse_weights(args.weights)  # fail fast, before any runs
-        except ValueError as exc:
-            parser.error(f"--weights: {exc}")
-        os.environ[WEIGHTS_ENV_VAR] = args.weights
-    if args.shards is not None:
-        if args.shards < 1:
-            parser.error("--shards must be >= 1")
-        os.environ[SHARDS_ENV_VAR] = str(args.shards)
+    flags = {
+        name: getattr(args, name)
+        for name in ("jobs", "sanitize", "faults", "policy", "weights", "shards")
+        if getattr(args, name) is not None
+    }
     if args.supervise:
-        os.environ[SUPERVISE_ENV_VAR] = "1"
-    if args.experiment == "all":
-        for name in sorted(_EXPERIMENTS):
-            print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
-            _EXPERIMENTS[name](args.preset)
-    else:
-        _EXPERIMENTS[args.experiment](args.preset)
+        flags["supervise"] = True
+    try:
+        # Validated up front, so a typo fails before any run.
+        config = RunConfig.from_env().with_(**flags)
+    except ValueError as exc:
+        parser.error(str(exc))
+    print(f"run config: {config}")
+    with configured(config):
+        if args.experiment == "all":
+            for name in sorted(_EXPERIMENTS):
+                print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
+                _EXPERIMENTS[name](args.preset)
+        else:
+            _EXPERIMENTS[args.experiment](args.preset)
 
 
 if __name__ == "__main__":

@@ -374,7 +374,7 @@ def run_fairness_experiment(
             machine=paper_machine(),
             poll_interval=interval,
             server_interval=interval,
-            server_partition_aware=partition_aware,
+            policy="space" if partition_aware else None,
             seed=seed,
         )
 

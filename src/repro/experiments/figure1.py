@@ -102,8 +102,8 @@ def run_figure1(
 
     Every point of the sweep is an independent simulation, so the sweep
     fans out over :func:`repro.experiments.parallel.parallel_map` (*jobs*
-    workers, default ``REPRO_JOBS`` / cpu count) with bit-identical
-    results in any mode.
+    workers, default: the run config's ``jobs``, then the cpu count) with
+    bit-identical results in any mode.
     """
     sweep = tuple(counts) or process_counts(preset)
 

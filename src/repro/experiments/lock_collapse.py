@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.config import active_config
 from repro.experiments.parallel import parallel_map
 from repro.metrics import format_table
 from repro.workloads import run_scenario
@@ -134,10 +135,18 @@ def _throughput(app) -> float:
     return app.tasks_completed / (app.wall_time / 1e6)
 
 
+def _run_arm(scenario):
+    # ``admission=None`` is the unrestricted arm, so the config's
+    # lock_admission must not restrict it and shift the pinned claims.
+    return run_scenario(
+        scenario, config=active_config().with_(lock_admission=None)
+    )
+
+
 def _sweep_cell(args) -> LockSweepCell:
     """Sweep cell (module-level so it pickles for the process pool)."""
     arm, threads, preset, seed = args
-    result = run_scenario(sweep_scenario(arm, threads, preset, seed))
+    result = _run_arm(sweep_scenario(arm, threads, preset, seed))
     app = result.apps["locks"]
     stats = result.locks["locks.lock"]
     return LockSweepCell(
@@ -156,7 +165,7 @@ def _sweep_cell(args) -> LockSweepCell:
 
 def _head_to_head_cell(args) -> LockHeadToHeadCell:
     arm, preset, seed = args
-    result = run_scenario(head_to_head_scenario(arm, preset, seed))
+    result = _run_arm(head_to_head_scenario(arm, preset, seed))
     app = result.apps["locks"]
     stats = result.locks["locks.lock"]
     return LockHeadToHeadCell(

@@ -41,10 +41,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.waste import waste_breakdown
 from repro.apps.synthetic import UniformApp
+from repro.config import active_config
 from repro.experiments.parallel import parallel_map
 from repro.machine import MachineConfig
 from repro.metrics import format_table
-from repro.sanitize.invariants import sanitize_mode_from_env
 from repro.sim import units
 from repro.workloads import AppSpec, Scenario, run_scenario
 
@@ -173,10 +173,9 @@ def _reconverge_time(result) -> Optional[int]:
 
 def _recovery_cell(args) -> RecoveryCell:
     """Sweep cell (module-level so it pickles for the process pool)."""
-    pattern, spec, supervised, seed, sanitize = args
+    pattern, supervised, seed, config = args
     scenario = recovery_scenario(seed).with_(supervise=supervised)
-    # faults="" (not None) so a stray REPRO_FAULTS cannot infect baselines.
-    result = run_scenario(scenario, sanitize=sanitize, faults=spec or "")
+    result = run_scenario(scenario, config=config)
     completed = all(
         app.finished_at is not None and app.finished_at >= 0
         for app in result.apps.values()
@@ -189,7 +188,7 @@ def _recovery_cell(args) -> RecoveryCell:
         completed=completed,
         makespan=result.makespan if completed else scenario.max_time,
         violations=result.sanitizer_violations,
-        reconverge=_reconverge_time(result) if spec else None,
+        reconverge=_reconverge_time(result) if config.faults else None,
         failed_polls=sum(app.failed_polls for app in result.apps.values()),
         target_expiries=sum(
             app.target_expiries for app in result.apps.values()
@@ -323,24 +322,26 @@ def run_recovery(
 ) -> RecoveryReport:
     """Run the sweep: healthy baselines + each pattern, both arms.
 
-    *sanitize* defaults to the ``REPRO_SANITIZE`` environment knob, or
-    ``"record"`` when unset, so the sweep always runs checked.
+    *sanitize* defaults to the active config's mode, or ``"record"`` when
+    that is off, so the sweep always runs checked.  Each cell's fault plan
+    is pinned (the baseline runs healthy); every other knob follows the
+    active config.
     """
     if seeds is None:
         seeds = (0, 1, 2) if preset == "quick" else (0, 1, 2, 3, 4)
     if patterns is None:
         patterns = dict(RECOVERY_PATTERNS)
-    if sanitize is None:
-        sanitize = sanitize_mode_from_env() or "record"
+    config = active_config()
+    sanitize = sanitize or config.sanitize or "record"
     seeds = tuple(seeds)
 
-    cells_args = []
-    for seed in seeds:
-        cells_args.append(("baseline", "", False, seed, sanitize))
+    healthy = config.with_(sanitize=sanitize, faults=None)
+    cells_args = [("baseline", False, seed, healthy) for seed in seeds]
     for pattern, spec in patterns.items():
+        faulted = healthy.with_(faults=spec)
         for supervised in (False, True):
             for seed in seeds:
-                cells_args.append((pattern, spec, supervised, seed, sanitize))
+                cells_args.append((pattern, supervised, seed, faulted))
     cells: List[RecoveryCell] = parallel_map(_recovery_cell, cells_args, jobs)
 
     baselines: Dict[int, int] = {

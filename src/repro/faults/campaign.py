@@ -1,8 +1,8 @@
 """ChaosCampaign: sweep seeds x injectors x schedulers under the sanitizer.
 
 The campaign is the lockdown for the fault-injection subsystem: every cell
-runs a small multiprogrammed workload with ``REPRO_SANITIZE``-style
-invariant checking forced on, injects one named fault plan, and asserts
+runs a small multiprogrammed workload with the invariant sanitizer
+forced on, injects one named fault plan, and asserts
 
 * zero invariant violations,
 * no deadlock (every application finishes inside the time cap), and
@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.synthetic import UniformApp
+from repro.config import active_config
 from repro.experiments.parallel import parallel_map
 from repro.machine import MachineConfig
-from repro.sanitize.invariants import sanitize_mode_from_env
 from repro.sim import units
 from repro.workloads import AppSpec, Scenario, run_scenario
 
@@ -90,8 +90,7 @@ def chaos_scenario(
     Small on purpose (a cell takes well under a second of host time) but
     structurally complete: centralized control, a poll/server interval the
     faults can race with, and enough oversubscription that targets bind.
-    *shards* sizes the control plane (``None`` = the runner's default,
-    which also honours ``REPRO_SHARDS``).
+    *shards* sizes the control plane (``None`` = the run config's).
     """
     machine = MachineConfig(
         n_processors=8,
@@ -159,10 +158,9 @@ class ChaosCell:
 
 def _chaos_cell(args) -> ChaosCell:
     """Sweep cell (module-level so it pickles for the process pool)."""
-    injector, spec, scheduler, seed, sanitize, shards = args
+    injector, scheduler, seed, shards, config = args
     scenario = chaos_scenario(scheduler, seed, shards=shards)
-    # faults="" (not None) so a stray REPRO_FAULTS cannot infect baselines.
-    result = run_scenario(scenario, sanitize=sanitize, faults=spec or "")
+    result = run_scenario(scenario, config=config)
     completed = all(
         package.finished_at is not None and package.finished_at >= 0
         for package in result.apps.values()
@@ -280,24 +278,26 @@ def run_campaign(
 ) -> ChaosReport:
     """Run the full sweep: baselines + every injector plan per cell.
 
-    *sanitize* defaults to the ``REPRO_SANITIZE`` environment knob, or
-    ``"record"`` when unset, so the campaign always runs checked.
-    *shards* sizes every cell's control plane (``None`` = runner default,
-    honouring ``REPRO_SHARDS``); the fault plans then hit every shard.
+    *sanitize* defaults to the active config's mode, or ``"record"`` when
+    that is off, so the campaign always runs checked.  Each cell's fault
+    plan is pinned (the baseline runs healthy); every other knob follows
+    the active config.  *shards* sizes every cell's control plane
+    (``None`` = the config's); the fault plans then hit every shard.
     """
     if injectors is None:
         injectors = dict(DEFAULT_INJECTORS)
-    if sanitize is None:
-        sanitize = sanitize_mode_from_env() or "record"
+    config = active_config()
+    sanitize = sanitize or config.sanitize or "record"
     schedulers = tuple(schedulers)
     seeds = tuple(seeds)
 
-    cells_args = []
-    for scheduler in schedulers:
-        for seed in seeds:
-            cells_args.append(("baseline", "", scheduler, seed, sanitize, shards))
-            for name, spec in injectors.items():
-                cells_args.append((name, spec, scheduler, seed, sanitize, shards))
+    plans = {"baseline": None, **injectors}
+    cells_args = [
+        (name, scheduler, seed, shards, config.with_(sanitize=sanitize, faults=spec))
+        for scheduler in schedulers
+        for seed in seeds
+        for name, spec in plans.items()
+    ]
     cells: List[ChaosCell] = parallel_map(_chaos_cell, cells_args, jobs)
 
     baselines: Dict[Tuple[str, int], int] = {

@@ -31,10 +31,6 @@ from repro.faults.injectors import (
 )
 from repro.sim.rand import RandomStreams
 
-#: Environment knob the workload runner consults when the scenario does not
-#: name a fault plan explicitly.
-FAULTS_ENV_VAR = "REPRO_FAULTS"
-
 _TIME_SUFFIXES = (("ms", 1_000), ("us", 1), ("s", 1_000_000))
 
 

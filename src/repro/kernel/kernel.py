@@ -19,7 +19,6 @@ Mechanisms reproduced from the paper's platform:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional
@@ -148,10 +147,11 @@ class Kernel:
         #: a cursor into it and replay only the tail on each scan
         #: (:class:`repro.kernel.syscalls.GetLoadSummary`).
         self._census_journal: List[tuple] = []
-        #: Under REPRO_SANITIZE, every load-summary syscall re-derives the
-        #: census counters from a real table walk at the same instant and
-        #: fails loudly on drift (the sparse-census oracle).
-        self._check_census = bool(os.environ.get("REPRO_SANITIZE"))
+        #: Armed by an attached SchedSanitizer: every load-summary syscall
+        #: then re-derives the census counters from a real table walk at
+        #: the same instant and fails loudly on drift (the sparse-census
+        #: oracle).
+        self._check_census = False
         # Policy methods called once or more per dispatch/quantum event.
         self._policy_enqueue = self.policy.enqueue
         self._policy_dequeue = self.policy.dequeue
@@ -1456,7 +1456,7 @@ class Kernel:
     def _verify_census(
         self, exclude_pids: tuple, uncontrolled: int, alive: int
     ) -> None:
-        """Sparse-census oracle (REPRO_SANITIZE): the incremental counters
+        """Sparse-census oracle (sanitizer-armed): the incremental counters
         and the journal-replayed per-application totals must agree with a
         full table walk taken at this very instant."""
         walk_alive = 0

@@ -45,11 +45,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 from repro.core.allocation import AllocationPolicy, EquipartitionPolicy
 from repro.sim.rand import RandomStreams
 
-#: Environment knob consulted by ``run_scenario`` when the scenario leaves
-#: ``supervise`` unset (the experiments CLI sets it from ``--supervise``).
-SUPERVISE_ENV_VAR = "REPRO_SUPERVISE"
-
-
 @dataclass
 class WatchdogConfig:
     """Supervision timings, all in microseconds (``None`` = derived).

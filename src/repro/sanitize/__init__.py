@@ -18,16 +18,15 @@ path and the kernel is never wrapped unless a sanitizer is attached):
   oracle``); it pulls in the workload runner, which the other two layers
   deliberately do not.
 
-Enable with ``REPRO_SANITIZE=1`` (strict: first violation raises), or
-``REPRO_SANITIZE=record`` (accumulate violations and keep running), or the
-``--sanitize`` flag of ``python -m repro.experiments``.
+Enable through the run config's ``sanitize`` knob (``REPRO_SANITIZE`` /
+``--sanitize``, see :mod:`repro.config`): ``strict`` raises at the first
+violation, ``record`` accumulates violations and keeps running.
 """
 
 from repro.sanitize.invariants import (
     SanitizerError,
     SchedSanitizer,
     Violation,
-    sanitize_mode_from_env,
 )
 from repro.sanitize.lint import LintIssue, LintReport, lint_trace
 
@@ -35,7 +34,6 @@ __all__ = [
     "SanitizerError",
     "SchedSanitizer",
     "Violation",
-    "sanitize_mode_from_env",
     "LintIssue",
     "LintReport",
     "lint_trace",

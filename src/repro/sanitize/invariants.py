@@ -37,36 +37,11 @@ what the lint pass consumes post-hoc.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.kernel.process import ProcessState
 from repro.sim.engine import SimulationError
-
-#: Environment knob consulted by ``run_scenario`` (and the experiments CLI,
-#: which sets it from ``--sanitize``).
-SANITIZE_ENV_VAR = "REPRO_SANITIZE"
-
-_OFF_VALUES = {"", "0", "off", "false", "no", "none"}
-_STRICT_VALUES = {"1", "on", "true", "yes", "strict"}
-_RECORD_VALUES = {"record", "warn"}
-
-
-def sanitize_mode_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[str]:
-    """Resolve :data:`SANITIZE_ENV_VAR` to ``None``/``"strict"``/``"record"``."""
-    source = os.environ if environ is None else environ
-    raw = source.get(SANITIZE_ENV_VAR, "").strip().lower()
-    if raw in _OFF_VALUES:
-        return None
-    if raw in _STRICT_VALUES:
-        return "strict"
-    if raw in _RECORD_VALUES:
-        return "record"
-    raise ValueError(
-        f"unrecognized {SANITIZE_ENV_VAR}={raw!r}; use 1/strict, record, or 0"
-    )
-
 
 class SanitizerError(SimulationError):
     """A scheduling invariant was violated (strict mode)."""
@@ -176,6 +151,7 @@ class SchedSanitizer:
         self._wrap_kernel("_wake", self._make_wake)
         self._wrap_kernel("_exit_current", self._make_exit)
         self._wrap_kernel("_terminate_off_cpu", self._make_terminate)
+        kernel._check_census = True
         self._attached = True
         return self
 
@@ -192,10 +168,14 @@ class SchedSanitizer:
             else:
                 setattr(obj, name, original)
         self._saved.clear()
+        kernel._check_census = False
         self._attached = False
 
     def watch_server(self, server, poll_interval: int, compliance_factor: int = 4) -> None:
-        """Arm the runnable-share check against *server*'s control board.
+        """Arm the runnable-share check against *server*'s control board,
+        and each server's incremental-vs-batch scan oracle (*server* is a
+        :class:`~repro.core.server.ProcessControlServer` or a
+        :class:`~repro.core.plane.ControlPlane` of them).
 
         Workers only obey targets at task-queue safe points, and resumes
         briefly overshoot, so an overrun only counts as a violation when it
@@ -205,6 +185,8 @@ class SchedSanitizer:
             raise ValueError("poll_interval must be positive")
         self._server = server
         self._compliance_window = compliance_factor * poll_interval
+        for shard in getattr(server, "servers", [server]):
+            shard._check_scans = True
 
     def watch_packages(self, packages) -> None:
         """Tell the share check about the application packages.

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
+from repro.config import RunConfig
 from repro.sim import TraceLog
 from repro.workloads.runner import run_scenario
 from repro.workloads.scenario import Scenario
@@ -77,9 +78,12 @@ def dispatch_trace(trace: TraceLog) -> List[DispatchEvent]:
 
 def _run_dispatches(scenario: Scenario, engine_loop: str) -> List[DispatchEvent]:
     # A dedicated dispatch-only trace keeps memory flat on long runs; the
-    # sanitizer stays off so the oracle isolates exactly one variable.
+    # default config (sanitizer off, every knob pinned) isolates exactly
+    # one variable.
     trace = TraceLog(categories=("kernel.dispatch",))
-    run_scenario(scenario, trace=trace, sanitize=False, engine_loop=engine_loop)
+    run_scenario(
+        scenario, trace=trace, engine_loop=engine_loop, config=RunConfig()
+    )
     return dispatch_trace(trace)
 
 

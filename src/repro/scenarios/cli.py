@@ -18,6 +18,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.config import RunConfig, active_config, configured
 from repro.scenarios import catalog
 from repro.scenarios.runner import open_golden_store, run_catalog
 from repro.scenarios.spec import FAMILIES, ScenarioCase
@@ -100,15 +101,16 @@ def _command_run(args: argparse.Namespace) -> int:
     if not cases:
         print("no catalog cases match the given filters", file=sys.stderr)
         return 2
-    sanitize = "record" if args.sanitize else None
+    flags = {} if args.jobs is None else {"jobs": args.jobs}
+    if args.sanitize:
+        flags["sanitize"] = "record"
+    config = active_config().with_(**flags)
+    print(f"run config: {config}")
     golden = None if args.no_digests else open_golden_store()
-    report = run_catalog(
-        cases,
-        jobs=args.jobs,
-        sanitize=sanitize,
-        golden=golden,
-        check_digests=not args.no_digests,
-    )
+    with configured(config):
+        report = run_catalog(
+            cases, golden=golden, check_digests=not args.no_digests
+        )
     print(report.format_report(verbose=args.verbose))
     return 0 if report.ok else 1
 
@@ -169,12 +171,14 @@ def add_scenarios_parser(subparsers) -> None:
         "--jobs",
         type=int,
         default=None,
-        help="parallel worker processes (default: REPRO_JOBS or serial)",
+        help="parallel worker processes (default: $REPRO_JOBS, then the "
+        "CPU count)",
     )
     run_parser.add_argument(
         "--sanitize",
         action="store_true",
-        help="attach the invariant sanitizer in record mode",
+        help="attach the invariant sanitizer in record mode (a "
+        "$REPRO_SANITIZE mode is downgraded to record too)",
     )
     run_parser.add_argument(
         "--no-digests",
@@ -213,7 +217,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.scenarios.cli")
     subparsers = parser.add_subparsers(dest="command", required=True)
     add_scenarios_parser(subparsers)
-    return run_from_args(parser.parse_args(argv))
+    args = parser.parse_args(argv)
+    with configured(RunConfig.from_env()):
+        return run_from_args(args)
 
 
 if __name__ == "__main__":

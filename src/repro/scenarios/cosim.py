@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.config import RunConfig
 from repro.realsys import CentralController, ControlledPool
 from repro.realsys import tasks as realsys_tasks
 from repro.scenarios import builders
@@ -165,7 +166,7 @@ def observe_sim(case: CosimCase) -> Observation:
         shards=1,
     )
     trace = TraceLog(categories=RUNNER_TRACE_CATEGORIES)
-    result = run_scenario(scenario, trace=trace, faults="")
+    result = run_scenario(scenario, trace=trace, config=RunConfig())
 
     decisions = _dedup(
         [

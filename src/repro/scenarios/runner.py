@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from repro.config import RunConfig, active_config
 from repro.experiments.parallel import parallel_map
-from repro.sanitize.invariants import sanitize_mode_from_env
 from repro.scenarios.golden import GoldenStore
 from repro.scenarios.spec import ScenarioCase
 from repro.sim import TraceLog, dispatch_digest
@@ -88,26 +88,14 @@ class CaseOutcome:
         return not self.violations
 
 
-def _resolve_sanitize(sanitize: Optional[str]) -> Optional[str]:
-    """Catalog sanitize mode: explicit argument wins, else the env knob.
-
-    An env-enabled sanitizer is downgraded from ``strict`` to ``record``
-    so one dirty case reports *as that case's violation* instead of
-    aborting the whole corpus sweep mid-run.
-    """
-    if sanitize is not None:
-        return sanitize or None
-    return "record" if sanitize_mode_from_env() else None
-
-
-def run_case(
-    case: ScenarioCase,
-    sanitize: Optional[str] = None,
-    collect_digest: bool = True,
-) -> CaseOutcome:
+def run_case(case: ScenarioCase, collect_digest: bool = True) -> CaseOutcome:
     """Execute one case and check every declared invariant.
 
-    Never raises for an expectation failure -- failures are returned in
+    The case owns every run knob, so it runs under a pinned config; only
+    the sanitizer follows the active config, downgraded from ``strict``
+    to ``record`` so one dirty case reports *as that case's violation*
+    instead of aborting the whole corpus sweep mid-run.  Never raises for
+    an expectation failure -- failures are returned in
     ``outcome.violations`` so corpus sweeps always report per-case.
     """
     expect = case.expect
@@ -121,10 +109,7 @@ def run_case(
     result = run_scenario(
         scenario,
         trace=trace,
-        sanitize=_resolve_sanitize(sanitize),
-        # An explicit empty spec pins the healthy world even when the
-        # REPRO_FAULTS env knob is set: corpus cases own their fault plans.
-        faults=case.faults if case.faults else "",
+        config=RunConfig(sanitize="record" if active_config().sanitize else None),
     )
     outcome = CaseOutcome(name=case.name, family=case.family)
     outcome.sim_time = result.sim_time
@@ -250,9 +235,7 @@ def run_case(
 
     if expect.max_inflation is not None and outcome.completed:
         baseline = run_scenario(
-            case.with_(faults=None).to_scenario(),
-            sanitize=False,
-            faults="",
+            case.with_(faults=None).to_scenario(), config=RunConfig()
         )
         outcome.baseline_makespan = baseline.makespan
         outcome.inflation = outcome.makespan / max(baseline.makespan, 1)
@@ -264,12 +247,6 @@ def run_case(
 
     outcome.wall_ms = (time.perf_counter() - started) * 1000.0
     return outcome
-
-
-def _sweep_cell(args) -> CaseOutcome:
-    """Module-level cell for the process-pool path (must be picklable)."""
-    case, sanitize = args
-    return run_case(case, sanitize=sanitize)
 
 
 def apply_golden(
@@ -344,7 +321,6 @@ class CatalogReport:
 def run_catalog(
     cases: Sequence[ScenarioCase],
     jobs: Optional[int] = None,
-    sanitize: Optional[str] = None,
     golden: Optional[GoldenStore] = None,
     check_digests: bool = True,
 ) -> CatalogReport:
@@ -357,9 +333,7 @@ def run_catalog(
     entirely (e.g. in an installed-package environment with no tests/
     directory).
     """
-    outcomes = parallel_map(
-        _sweep_cell, [(case, sanitize) for case in cases], jobs=jobs
-    )
+    outcomes = parallel_map(run_case, cases, jobs=jobs)
     if check_digests:
         apply_golden(outcomes, golden or open_golden_store())
     return CatalogReport(outcomes=list(outcomes))

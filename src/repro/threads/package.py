@@ -43,11 +43,6 @@ CONTROL_OFF = None
 CONTROL_CENTRALIZED = "centralized"
 CONTROL_DECENTRALIZED = "decentralized"
 
-#: Environment knob: default lock admission limit for scenario runs
-#: (Malthusian waiter restriction; see docs/LOCKS.md).  0/unset = off.
-LOCK_ADMISSION_ENV_VAR = "REPRO_LOCK_ADMISSION"
-
-
 @dataclass
 class ThreadsPackageConfig:
     """Configuration of the threads package (per application).

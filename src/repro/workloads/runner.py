@@ -8,35 +8,29 @@ numbers the paper's figures report.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.config import RunConfig, active_config
 from repro.core.allocation import (
-    POLICY_ENV_VAR,
-    WEIGHTS_ENV_VAR,
     AllocationPolicy,
     SpaceAwarePolicy,
     make_policy,
     parse_weights,
 )
-from repro.core.plane import SHARDS_ENV_VAR, ControlPlane
-from repro.faults.plan import FAULTS_ENV_VAR, FaultPlan
+from repro.core.plane import ControlPlane
+from repro.faults.plan import FaultPlan
 from repro.kernel import Kernel, syscalls as sc
 from repro.machine import Machine
 from repro.metrics.latency import LatencyStats, tier_stats
 from repro.metrics.timeseries import StepSeries, runnable_series_from_trace
-from repro.resilience.watchdog import SUPERVISE_ENV_VAR, Watchdog
-from repro.sanitize.invariants import SchedSanitizer, sanitize_mode_from_env
+from repro.resilience.watchdog import Watchdog
+from repro.sanitize.invariants import SchedSanitizer
 from repro.sim import Engine, TraceLog
 from repro.sync.stats import LockStats
 from repro.threads import make_package
-from repro.threads.package import (
-    LOCK_ADMISSION_ENV_VAR,
-    ThreadsPackage,
-    ThreadsPackageConfig,
-)
+from repro.threads.package import ThreadsPackage, ThreadsPackageConfig
 from repro.workloads.scenario import Scenario
 from repro.workloads.schedulers import make_scheduler
 
@@ -222,31 +216,26 @@ def metered() -> Iterator[EventMeter]:
         active_meter = previous
 
 
-def _resolve_policy(scenario: Scenario, kernel: Kernel) -> Optional[AllocationPolicy]:
-    """The allocation policy a scenario's control plane should run.
+def _knob(scenario: Scenario, config: RunConfig, name: str) -> Any:
+    """A run knob: the scenario's field if set, else the config's value."""
+    value = getattr(scenario, name)
+    return getattr(config, name) if value is None else value
 
-    Resolution order: explicit ``scenario.policy``, then the
-    ``REPRO_POLICY`` environment knob, then the legacy
-    ``server_partition_aware`` flag, then ``None`` (the server's default
-    equipartition -- kept as ``None`` so the default path constructs the
-    exact same objects as before this layer existed).
+
+def _resolve_policy(
+    scenario: Scenario, kernel: Kernel, config: RunConfig
+) -> Optional[AllocationPolicy]:
+    """The allocation policy a scenario's control plane should run:
+    ``scenario.policy``, else ``config.policy``, else ``None`` (the
+    server's default equipartition -- kept as ``None`` so the default path
+    constructs the exact same objects as before this layer existed).
     """
     if isinstance(scenario.policy, AllocationPolicy):
         # An experiment handed over a pre-built instance to pin knobs the
         # name registry's defaults would miss (e.g. a CompliancePolicy
         # whose lag grace matches the experiment's poll cadence).
         return scenario.policy
-    name = scenario.policy
-    if name is None:
-        name = os.environ.get(POLICY_ENV_VAR) or None
-    if (
-        name is None
-        and scenario.server_partition_aware
-        and scenario.scheduler == "partition"
-    ):
-        # The legacy flag is advisory: it only engages under the partition
-        # scheduler (an explicit policy="space" elsewhere raises instead).
-        name = "space"
+    name = _knob(scenario, config, "policy")
     if name is None:
         return None
     if name == "space":
@@ -279,35 +268,24 @@ def run_scenario(
     scenario: Scenario,
     trace: Optional[TraceLog] = None,
     max_events: int = 50_000_000,
-    sanitize: Optional[object] = None,
     engine_loop: str = "fused",
-    faults: Optional[str] = None,
+    config: Optional[RunConfig] = None,
 ) -> ScenarioResult:
     """Run *scenario* to completion and reduce its measurements.
 
-    *sanitize* selects the invariant checker: ``None`` (default) consults
-    the ``REPRO_SANITIZE`` environment knob, ``False`` forces it off,
-    ``"strict"``/``True`` raises on the first violation, ``"record"``
-    accumulates violations into the result.  *engine_loop* picks the event
-    loop (``"fused"`` or ``"plain"``, see
-    :meth:`~repro.kernel.kernel.Kernel.run_until_quiescent`).  *faults*
-    is a fault-plan spec string (see :mod:`repro.faults.plan`); when
-    ``None`` the runner falls back to ``scenario.faults`` and then the
-    ``REPRO_FAULTS`` environment knob.  The plan is seeded from
-    ``scenario.seed``, so the same scenario + spec replays bit-identically.
+    *config* supplies every knob the scenario leaves unset (default: the
+    active config, see :mod:`repro.config`); its ``sanitize`` mode picks
+    the invariant checker.  *engine_loop* picks the event loop
+    (``"fused"`` or ``"plain"``, see
+    :meth:`~repro.kernel.kernel.Kernel.run_until_quiescent`).  The fault
+    plan is seeded from ``scenario.seed``, so the same scenario + spec
+    replays bit-identically.
     """
     if not scenario.apps:
         raise ValueError("scenario has no applications")
-    if sanitize is None:
-        sanitize = sanitize_mode_from_env()
-    elif sanitize is True:
-        sanitize = "strict"
-    elif sanitize is False:
-        sanitize = None
-    if faults is None:
-        faults = scenario.faults
-    if faults is None:
-        faults = os.environ.get(FAULTS_ENV_VAR) or None
+    if config is None:
+        config = active_config()
+    faults = _knob(scenario, config, "faults")
     fault_plan = FaultPlan.from_spec(faults, seed=scenario.seed) if faults else None
     engine = Engine()
     machine = Machine(scenario.machine)
@@ -321,26 +299,22 @@ def run_scenario(
         trace=trace,
     )
     sanitizer: Optional[SchedSanitizer] = None
-    if sanitize:
+    if config.sanitize:
         # Attach before anything is spawned so the shadow state starts
         # empty; the server-share watch is armed once the server exists.
-        sanitizer = SchedSanitizer(kernel, mode=sanitize).attach()
+        sanitizer = SchedSanitizer(kernel, mode=config.sanitize).attach()
 
     app_controls = [spec.control_mode(scenario.control) for spec in scenario.apps]
     server: Optional[ControlPlane] = None
     if "centralized" in app_controls:
-        policy = _resolve_policy(scenario, kernel)
+        policy = _resolve_policy(scenario, kernel, config)
         # A weight table only engages when nothing else won the policy
-        # resolution: an explicit policy (scenario or $REPRO_POLICY) keeps
+        # resolution: an explicit policy (scenario or config) keeps
         # priority, weighted-by-default would silently change every run.
         weights = None
-        if policy is None:
-            weights_spec = os.environ.get(WEIGHTS_ENV_VAR) or None
-            if weights_spec:
-                weights = parse_weights(weights_spec)
-        shards = scenario.shards
-        if shards is None:
-            shards = int(os.environ.get(SHARDS_ENV_VAR) or 1)
+        if policy is None and config.weights:
+            weights = parse_weights(config.weights)
+        shards = _knob(scenario, config, "shards")
         if policy is not None and policy.stateful and shards > 1:
             # A stateful policy's cross-round memory is pruned against the
             # application set it last saw; shards see disjoint sets, so a
@@ -365,12 +339,7 @@ def run_scenario(
         if sanitizer is not None:
             sanitizer.watch_server(server, poll_interval=scenario.poll_interval)
 
-    # Supervision: scenario field first, then the env knob; an explicit
-    # False pins the watchdog off regardless of the environment (an
-    # experiment's unsupervised arm must stay unsupervised in CI).
-    supervise = scenario.supervise
-    if supervise is None:
-        supervise = bool(int(os.environ.get(SUPERVISE_ENV_VAR) or 0))
+    supervise = _knob(scenario, config, "supervise")
     watchdog: Optional[Watchdog] = None
     if supervise and server is not None:
         watchdog = Watchdog(
@@ -386,15 +355,7 @@ def run_scenario(
             4 * scenario.poll_interval, 4 * scenario.server_interval
         )
 
-    # Lock-level waiter control: scenario field first, then the env knob.
-    # An explicit 0 pins "unrestricted" even when REPRO_LOCK_ADMISSION is
-    # set (the supervise=False idiom) so pinned corpus digests cannot be
-    # perturbed by a CI-wide knob.
-    lock_admission = scenario.lock_admission
-    if lock_admission is None:
-        lock_admission = int(os.environ.get(LOCK_ADMISSION_ENV_VAR) or 0) or None
-    elif lock_admission == 0:
-        lock_admission = None
+    lock_admission = _knob(scenario, config, "lock_admission")
 
     packages: List[ThreadsPackage] = []
     for index, spec in enumerate(scenario.apps):

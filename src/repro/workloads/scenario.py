@@ -102,6 +102,11 @@ class UncontrolledSpec:
 class Scenario:
     """A full experiment run description.
 
+    The fields ``policy``, ``shards``, ``faults``, ``supervise`` and
+    ``lock_admission`` are run knobs: a value set here wins, and ``None``
+    takes the run config's value (see :mod:`repro.config` and the knob
+    table in docs/INTERNALS.md).
+
     Attributes:
         apps: the applications and their start parameters.
         control: ``None``, ``"centralized"``, or ``"decentralized"``
@@ -117,11 +122,6 @@ class Scenario:
         idle_spin: threads-package idle behaviour (busy-wait vs blocking).
         use_no_preempt_flags: bracket package critical sections with
             ``SetNoPreempt`` (for the Zahorjan scheduler experiments).
-        server_partition_aware: with the ``partition`` scheduler, the
-            server derives each application's target from its processor
-            group's size instead of the flat machine-wide division -- the
-            Section 7 integration of the policy module with process
-            control.  (Shorthand for ``policy="space"``.)
         policy: allocation-policy name the control server should run
             (see :data:`repro.core.allocation.POLICY_NAMES`, plus
             ``"space"`` which wraps the live partition scheduler and
@@ -129,28 +129,25 @@ class Scenario:
             :class:`~repro.core.allocation.AllocationPolicy` instance when
             an experiment needs non-default knobs (e.g. a
             ``CompliancePolicy`` with an experiment-scale lag grace).
-            ``None`` (the default)
-            falls back to the ``REPRO_POLICY`` environment knob and then
-            the paper's equipartition.
+            ``"space"`` is the Section 7 integration of the policy module
+            with process control: each application's target follows its
+            processor group's size.  The config's default is the paper's
+            equipartition.
         shards: process-control server count; each shard owns a processor
             region and the applications routed to it (round-robin by
-            arrival).  ``None`` falls back to ``REPRO_SHARDS`` and then 1
-            (the paper's single server, bit-identical).
+            arrival).  The config's default is 1 (the paper's single
+            server, bit-identical).
         seed: master random seed.
         max_time: safety cap on simulated time.
         faults: fault-injection plan spec string (see
             :mod:`repro.faults`), e.g.
             ``"server-crash:at=20ms,down=60ms;cpu-offline:cpu=1,at=10ms"``.
-            ``None`` (the default) runs the healthy world; the runner also
-            consults the ``REPRO_FAULTS`` environment knob.
+            The config's default is the healthy world.
         stale_target_ttl: override for the threads package's stale-target
             TTL; ``None`` lets the runner size it from the intervals.
         supervise: arm the control-plane :class:`~repro.resilience.
             Watchdog` (heartbeat monitoring, shard restart/failover).
-            ``None`` (the default) falls back to the ``REPRO_SUPERVISE``
-            environment knob; an explicit ``False`` keeps the watchdog
-            off even when the knob is set (so an experiment's
-            unsupervised arm stays unsupervised under a CI-wide knob).
+            The config's default is unsupervised.
         watchdog: optional :class:`~repro.resilience.WatchdogConfig`
             overriding the derived supervision timings, or a mapping of
             shard index to config for per-shard overrides.
@@ -159,12 +156,8 @@ class Scenario:
             ``Application.locks()``) and each package queue lock gets
             ``admission=<n>`` unless the lock already sets its own.
             Lock-level waiter control composes freely with ``control=``
-            processor control: either, both, or neither.  ``None`` (the
-            default) falls back to the ``REPRO_LOCK_ADMISSION``
-            environment knob and then leaves locks unrestricted; an
-            explicit ``0`` pins "unrestricted" even when the knob is set
-            (so a pinned baseline arm stays unrestricted under a
-            CI-wide knob).
+            processor control: either, both, or neither.  The config's
+            default leaves locks unrestricted.
     """
 
     apps: List[AppSpec]
@@ -177,7 +170,6 @@ class Scenario:
     poll_interval: int = field(default_factory=lambda: units.seconds(6))
     idle_spin: bool = True
     use_no_preempt_flags: bool = False
-    server_partition_aware: bool = False
     policy: Any = None  # name string, AllocationPolicy instance, or None
     shards: Optional[int] = None
     seed: int = 0

@@ -1,7 +1,7 @@
 """Tests for the analysis layer."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.analysis import (
     cpu_shares,
@@ -84,6 +84,10 @@ class TestShares:
             max_size=6,
         )
     )
+    # Squaring tiny shares underflows to a subnormal; the unscaled formula
+    # returned 1.0000004 for the second input.
+    @example({"a": 1.81e-159, "b": 1.81e-159})
+    @example({"a": 1.8e-159, "b": 1.8e-159})
     def test_jain_always_in_range(self, shares):
         index = jain_fairness(shares)
         assert 0.0 < index <= 1.0 + 1e-9

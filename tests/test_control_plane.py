@@ -8,6 +8,7 @@ demand-vs-equal waste comparison the policies experiment pins).
 
 import pytest
 
+from repro.config import RunConfig, configured
 from repro.core.allocation import DemandPolicy
 from repro.core.plane import ControlPlane
 from repro.experiments.policies import overload_scenario, run_policies
@@ -174,16 +175,35 @@ class TestIntegration:
             digests.append(dispatch_digest(trace))
         assert digests[0] == digests[1]
 
+    @staticmethod
+    def _digest(scenario, config=None):
+        trace = TraceLog(categories={"kernel.dispatch"})
+        result = run_scenario(scenario, trace=trace, config=config)
+        assert all(app.finished_at is not None for app in result.apps.values())
+        return dispatch_digest(trace), result.sim_time
+
     def test_shards_env_var_reaches_the_runner(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARDS", "2")
-        trace = TraceLog(categories={"server.update"})
-        result = run_scenario(sharded_scenario(shards=None), trace=trace)
-        assert all(app.finished_at is not None for app in result.apps.values())
+        with configured(RunConfig.from_env()):
+            deferring = self._digest(sharded_scenario(shards=None))
+        assert deferring == self._digest(sharded_scenario(shards=2))
+        assert deferring != self._digest(sharded_scenario(shards=1))
+
+    def test_explicit_shards_beat_the_config(self):
+        pinned = self._digest(sharded_scenario(shards=1), RunConfig(shards=2))
+        assert pinned == self._digest(sharded_scenario(shards=1))
 
     def test_policy_env_var_reaches_the_runner(self, monkeypatch):
         monkeypatch.setenv("REPRO_POLICY", "demand")
-        result = run_scenario(sharded_scenario(shards=1))
-        assert all(app.finished_at is not None for app in result.apps.values())
+        with configured(RunConfig.from_env()):
+            deferring = self._digest(sharded_scenario(shards=1))
+        assert deferring == self._digest(sharded_scenario(shards=1, policy="demand"))
+
+    def test_explicit_policy_beats_the_config(self):
+        pinned = self._digest(
+            sharded_scenario(shards=1, policy="equal"), RunConfig(policy="demand")
+        )
+        assert pinned == self._digest(sharded_scenario(shards=1, policy="equal"))
 
     def test_space_policy_requires_partition_scheduler(self):
         with pytest.raises(ValueError, match="partition"):

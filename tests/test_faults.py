@@ -4,6 +4,7 @@ poll backoff, the injector catalog, and the fault-plan spec grammar."""
 
 import pytest
 
+from repro.config import RunConfig
 from repro.core.server import ProcessControlServer
 from repro.faults import (
     FaultPlan,
@@ -354,7 +355,7 @@ class TestSpecGrammar:
 
 def _run_with_faults(spec, scheduler="decay", seed=0):
     scenario = chaos_scenario(scheduler, seed)
-    return run_scenario(scenario, sanitize="strict", faults=spec)
+    return run_scenario(scenario, config=RunConfig(sanitize="strict", faults=spec))
 
 
 class TestInjectors:
@@ -408,7 +409,7 @@ class TestInjectors:
         for _ in range(2):
             trace = TraceLog(categories={"kernel.dispatch"})
             result = run_scenario(
-                chaos_scenario("decay", 0), trace=trace, faults=""
+                chaos_scenario("decay", 0), trace=trace, config=RunConfig()
             )
             digests.append((dispatch_digest(trace), result.sim_time))
         assert digests[0] == digests[1]
@@ -417,6 +418,6 @@ class TestInjectors:
         scenario = chaos_scenario(
             "decay", 0, faults="cpu-offline:cpu=1,at=5ms,duration=10ms"
         )
-        result = run_scenario(scenario, sanitize="record")
+        result = run_scenario(scenario, config=RunConfig(sanitize="record"))
         assert result.faults_injected == 1
         assert result.fault_events

@@ -17,6 +17,7 @@ milliseconds of wall time, so the suite affords a few dozen schedules.
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.synthetic import UniformApp
+from repro.config import RunConfig
 from repro.faults import FaultPlan, parse_spec, random_fault_spec
 from repro.machine.config import MachineConfig
 from repro.sim import TraceLog, dispatch_digest, units
@@ -58,7 +59,9 @@ def _run_chaos(seed: int, n_faults: int, trace=None):
         seed, HORIZON, n_faults=n_faults, cpus=N_PROCESSORS
     )
     result = run_scenario(
-        _mini_scenario(seed), trace=trace, sanitize="record", faults=spec
+        _mini_scenario(seed),
+        trace=trace,
+        config=RunConfig(sanitize="record", faults=spec),
     )
     return spec, result
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps.synthetic import UniformApp
+from repro.config import RunConfig, configured
 from repro.core.allocation import (
     AllocationRequest,
     DemandPolicy,
@@ -25,7 +26,7 @@ from repro.faults import FaultPlan, parse_spec
 from repro.faults.campaign import chaos_scenario, run_campaign, shard_injectors
 from repro.kernel.ipc import ControlBoard
 from repro.machine.config import MachineConfig
-from repro.resilience import SUPERVISE_ENV_VAR, Watchdog, WatchdogConfig
+from repro.resilience import Watchdog, WatchdogConfig
 from repro.sim import TraceLog, units
 from repro.threads.control import ControlState
 from repro.workloads import AppSpec, Scenario, run_scenario
@@ -302,8 +303,7 @@ class TestShardCrashIsolation:
         # crash-path rebalance and still completes.
         result = run_scenario(
             mini_scenario(shards=2, supervise=False),
-            sanitize="record",
-            faults="server-crash:shard=1,at=12ms",
+            config=RunConfig(sanitize="record", faults="server-crash:shard=1,at=12ms"),
         )
         assert result.sanitizer_violations == 0
         assert result.apps["mini-a"].failed_polls == 0
@@ -322,8 +322,7 @@ class TestWatchdogEscalation:
     def test_restart_recovers_a_crashed_shard(self):
         result = run_scenario(
             mini_scenario(shards=2),
-            sanitize="record",
-            faults="server-crash:shard=1,at=12ms",
+            config=RunConfig(sanitize="record", faults="server-crash:shard=1,at=12ms"),
         )
         counters = result.watchdog_counters
         assert counters["suspects"] == 1
@@ -340,8 +339,7 @@ class TestWatchdogEscalation:
     def test_flapping_shard_drains_the_budget_into_failover(self):
         result = run_scenario(
             mini_scenario(shards=2),
-            sanitize="record",
-            faults=flap_spec(shard=1),
+            config=RunConfig(sanitize="record", faults=flap_spec(shard=1)),
         )
         counters = result.watchdog_counters
         assert counters["restarts"] == 3  # the full budget
@@ -356,8 +354,7 @@ class TestWatchdogEscalation:
     def test_total_flap_ends_in_degraded_mode(self):
         result = run_scenario(
             mini_scenario(shards=1),
-            sanitize="record",
-            faults=flap_spec(),
+            config=RunConfig(sanitize="record", faults=flap_spec()),
         )
         counters = result.watchdog_counters
         assert counters["failovers"] == 1
@@ -379,7 +376,7 @@ class TestWatchdogEscalation:
             policy="demand",
             watchdog=WatchdogConfig(policy_cold_ttl=units.ms(12)),
         )
-        result = run_scenario(scenario, sanitize="record")
+        result = run_scenario(scenario, config=RunConfig(sanitize="record"))
         counters = result.watchdog_counters
         assert counters["policy_swaps"] == 1
         assert counters["policy_restores"] == 1
@@ -394,7 +391,9 @@ class TestWatchdogEscalation:
         assert swaps[1]["reason"] == "telemetry-warm"
 
     def test_supervised_healthy_run_never_fires(self):
-        result = run_scenario(mini_scenario(shards=2), sanitize="record")
+        result = run_scenario(
+            mini_scenario(shards=2), config=RunConfig(sanitize="record")
+        )
         counters = result.watchdog_counters
         assert counters["ticks"] > 0
         assert counters["suspects"] == 0
@@ -447,8 +446,10 @@ class TestPerShardConfig:
             mini_scenario(shards=2).with_(
                 watchdog={1: WatchdogConfig(max_restarts=0)}
             ),
-            sanitize="record",
-            faults="server-crash:shard=0,at=12ms;server-crash:shard=1,at=12ms",
+            config=RunConfig(
+                sanitize="record",
+                faults="server-crash:shard=0,at=12ms;server-crash:shard=1,at=12ms",
+            ),
         )
         counters = result.watchdog_counters
         assert counters["failovers"] == 1
@@ -477,7 +478,7 @@ class TestPerShardConfig:
             policy="demand",
             watchdog={0: WatchdogConfig(policy_cold_ttl=units.ms(12))},
         )
-        result = run_scenario(scenario, sanitize="record")
+        result = run_scenario(scenario, config=RunConfig(sanitize="record"))
         swaps = [
             details
             for _, kind, details in result.watchdog_events
@@ -524,19 +525,21 @@ class TestBareServerSupervision:
 
 class TestSupervisePlumbing:
     def test_env_knob_arms_the_watchdog(self, monkeypatch):
-        monkeypatch.setenv(SUPERVISE_ENV_VAR, "1")
-        result = run_scenario(mini_scenario().with_(supervise=None))
+        monkeypatch.setenv("REPRO_SUPERVISE", "1")
+        with configured(RunConfig.from_env()):
+            result = run_scenario(mini_scenario().with_(supervise=None))
         assert result.watchdog_counters is not None
 
-    def test_explicit_false_pins_the_watchdog_off(self, monkeypatch):
+    def test_explicit_false_pins_the_watchdog_off(self):
         # The unsupervised experiment arm must stay unsupervised even
-        # under a CI-wide REPRO_SUPERVISE=1.
-        monkeypatch.setenv(SUPERVISE_ENV_VAR, "1")
-        result = run_scenario(mini_scenario().with_(supervise=False))
+        # under a supervising config.
+        result = run_scenario(
+            mini_scenario().with_(supervise=False),
+            config=RunConfig(supervise=True),
+        )
         assert result.watchdog_counters is None
 
-    def test_default_is_unsupervised(self, monkeypatch):
-        monkeypatch.delenv(SUPERVISE_ENV_VAR, raising=False)
+    def test_default_is_unsupervised(self):
         result = run_scenario(mini_scenario().with_(supervise=None))
         assert result.watchdog_counters is None
 

@@ -17,6 +17,7 @@ contract:
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.synthetic import UniformApp
+from repro.config import RunConfig
 from repro.faults import random_fault_spec
 from repro.machine.config import MachineConfig
 from repro.sim import TraceLog, dispatch_digest, units
@@ -63,8 +64,7 @@ def _run_supervised(seed: int, n_faults: int, shards: int, trace=None):
     result = run_scenario(
         _supervised_scenario(seed, shards),
         trace=trace,
-        sanitize="record",
-        faults=spec,
+        config=RunConfig(sanitize="record", faults=spec),
     )
     return spec, result
 

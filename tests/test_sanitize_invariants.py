@@ -8,13 +8,13 @@ in the trace for the post-hoc lint pass (record mode).
 
 import pytest
 
+from repro.config import RunConfig
 from repro.kernel import syscalls as sc
 from repro.kernel.scheduler import FifoScheduler
 from repro.sanitize import (
     SanitizerError,
     SchedSanitizer,
     lint_trace,
-    sanitize_mode_from_env,
 )
 from repro.sim import TraceLog, units
 from repro.workloads import AppSpec, Scenario, run_scenario
@@ -62,7 +62,7 @@ class TestCleanRuns:
                 machine=small_machine(),
                 control="centralized",
             ),
-            sanitize="strict",
+            config=RunConfig(sanitize="strict"),
         )
         assert result.sanitizer_violations == 0
         assert result.sanitizer_counters is not None
@@ -71,7 +71,7 @@ class TestCleanRuns:
     def test_sanitize_false_means_off(self):
         result = run_scenario(
             Scenario(apps=[AppSpec(uniform(n_tasks=4), 2)], machine=small_machine()),
-            sanitize=False,
+            config=RunConfig(),
         )
         assert result.sanitizer_counters is None
         assert result.sanitizer_violations == 0
@@ -99,15 +99,18 @@ class TestLifecycle:
             SchedSanitizer(make_kernel(), mode="loose")
 
     def test_env_knob_parsing(self):
-        assert sanitize_mode_from_env({}) is None
+        def mode(value):
+            return RunConfig.from_env({"REPRO_SANITIZE": value}).sanitize
+
+        assert RunConfig.from_env({}).sanitize is None
         for off in ("", "0", "off", "false", "no", "none"):
-            assert sanitize_mode_from_env({"REPRO_SANITIZE": off}) is None
+            assert mode(off) is None
         for strict in ("1", "on", "true", "yes", "strict"):
-            assert sanitize_mode_from_env({"REPRO_SANITIZE": strict}) == "strict"
+            assert mode(strict) == "strict"
         for record in ("record", "warn"):
-            assert sanitize_mode_from_env({"REPRO_SANITIZE": record}) == "record"
-        with pytest.raises(ValueError):
-            sanitize_mode_from_env({"REPRO_SANITIZE": "maybe"})
+            assert mode(record) == "record"
+        with pytest.raises(ValueError, match="REPRO_SANITIZE"):
+            mode("maybe")
 
 
 class TestInjectedBug:

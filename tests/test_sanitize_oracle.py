@@ -4,6 +4,7 @@ stale-heap-binding bug class."""
 
 import pytest
 
+from repro.config import RunConfig
 from repro.kernel import syscalls as sc
 from repro.sanitize import SchedSanitizer
 from repro.sanitize.oracle import (
@@ -127,7 +128,7 @@ class TestCompactionRegression:
                     control="centralized",
                 ),
                 trace=trace,
-                sanitize="strict",
+                config=RunConfig(sanitize="strict"),
                 engine_loop=loop,
             )
             return dispatch_trace(trace)

@@ -5,6 +5,7 @@ their full traces must pass the post-hoc lint."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import RunConfig
 from repro.sanitize import lint_trace
 from repro.sim import TraceLog, units
 from repro.workloads import SCHEDULER_NAMES, AppSpec, Scenario, run_scenario
@@ -52,7 +53,9 @@ def build_scenario(params, scheduler):
 def test_random_workloads_are_violation_free(scheduler, params):
     trace = TraceLog()  # unfiltered: every lint check group stays armed
     result = run_scenario(
-        build_scenario(params, scheduler), trace=trace, sanitize="strict"
+        build_scenario(params, scheduler),
+        trace=trace,
+        config=RunConfig(sanitize="strict"),
     )
     assert result.sanitizer_violations == 0
     assert result.sanitizer_counters is not None
@@ -70,8 +73,12 @@ def test_random_workloads_are_violation_free(scheduler, params):
 def test_record_mode_matches_strict_on_clean_runs(params):
     # A clean run must look identical in both modes: record mode exists to
     # keep going on violations, not to check less.
-    strict = run_scenario(build_scenario(params, "fifo"), sanitize="strict")
-    record = run_scenario(build_scenario(params, "fifo"), sanitize="record")
+    strict = run_scenario(
+        build_scenario(params, "fifo"), config=RunConfig(sanitize="strict")
+    )
+    record = run_scenario(
+        build_scenario(params, "fifo"), config=RunConfig(sanitize="record")
+    )
     assert strict.sanitizer_violations == record.sanitizer_violations == 0
     assert (
         strict.sanitizer_counters["checks"] == record.sanitizer_counters["checks"]

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.config import RunConfig, configured
 from repro.core.allocation import parse_weights
 from repro.core.server import ProcessControlServer
 from repro.kernel.ipc import ControlBoard
@@ -74,12 +75,13 @@ class TestFastScanEquivalence:
         server = ProcessControlServer(kernel, interval=units.ms(100))
         assert server.fast_scan is True
 
-    def test_fast_scan_under_sanitizer_runs_both_oracles(self, monkeypatch):
-        # REPRO_SANITIZE arms the incremental-vs-batch check inside the
+    def test_fast_scan_under_sanitizer_runs_both_oracles(self):
+        # The sanitizer arms the incremental-vs-batch check inside the
         # server and the census walk inside the kernel; a clean run is
         # the assertion.
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        result = run_scenario(self._scenario(shards=3))
+        result = run_scenario(
+            self._scenario(shards=3), config=RunConfig(sanitize="strict")
+        )
         assert result.events_fired > 0
 
 
@@ -174,25 +176,40 @@ class TestWeightsPlumbing:
 
     def test_env_weights_reach_the_control_plane(self, monkeypatch):
         from repro.apps.synthetic import UniformApp
+        from repro.scenarios.builders import small_machine
 
         monkeypatch.setenv("REPRO_WEIGHTS", "app0=3")
         scenario = Scenario(
             apps=[
                 AppSpec(
                     factory=lambda i=i: UniformApp(
-                        app_id=f"app{i}", n_tasks=4, task_cost=units.ms(20)
+                        app_id=f"app{i}", n_tasks=16, task_cost=units.ms(20)
                     ),
-                    n_processes=2,
+                    n_processes=4,
                 )
                 for i in range(2)
             ],
             control="centralized",
+            machine=small_machine(4),
             server_interval=units.ms(50),
             poll_interval=units.ms(50),
         )
-        result = run_scenario(scenario)
-        updates = result.trace.records("server.update")
-        assert updates  # the weighted server ran and published
+
+        def first_targets(result):
+            return next(
+                record.data["targets"]
+                for record in result.trace.records("server.update")
+                if len(record.data["targets"]) == 2
+            )
+
+        with configured(RunConfig.from_env()):
+            weighted = run_scenario(scenario)
+            # An explicit policy wins the resolution, so the table is unused.
+            pinned = run_scenario(scenario.with_(policy="equal"))
+        plain = run_scenario(scenario)
+        assert first_targets(plain) == {"app0": 2, "app1": 2}
+        assert first_targets(weighted) == {"app0": 3, "app1": 1}
+        assert first_targets(pinned) == first_targets(plain)
 
 
 class TestTimelineExport:

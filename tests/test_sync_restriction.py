@@ -5,9 +5,11 @@ broadcast racing a process-control suspension safe point."""
 
 import pytest
 
+from repro.config import RunConfig, configured
 from repro.kernel import syscalls as sc
 from repro.kernel.process import ProcessState
 from repro.scenarios.catalog import build_catalog
+from repro.scenarios.runner import run_case
 from repro.sim import TraceLog, dispatch_digest, units
 from repro.sync import (
     ConditionVariable,
@@ -417,13 +419,14 @@ class TestCondvarVsSuspension:
 
 
 class TestAdmissionEnvPinning:
-    """``REPRO_LOCK_ADMISSION`` semantics: ``None`` defers to the knob,
-    an explicit ``0`` pins "unrestricted" so pinned baselines (corpus
-    cases, experiment arms) cannot drift under a CI-wide environment."""
+    """``REPRO_LOCK_ADMISSION`` semantics: the config's value reaches a
+    scenario that leaves ``lock_admission`` unset, an explicit scenario
+    value beats it, and pinned baselines (corpus cases, experiment arms)
+    cannot drift under it."""
 
-    def _run(self, scenario):
+    def _run(self, scenario, config=None):
         trace = TraceLog(categories={"kernel.dispatch"})
-        result = run_scenario(scenario, trace=trace)
+        result = run_scenario(scenario, trace=trace, config=config)
         return result, dispatch_digest(trace)
 
     def _saturated(self, **overrides):
@@ -433,20 +436,32 @@ class TestAdmissionEnvPinning:
 
     def test_env_knob_restricts_a_deferring_scenario(self, monkeypatch):
         monkeypatch.setenv("REPRO_LOCK_ADMISSION", "1")
-        scenario = self._saturated().with_(lock_admission=None)
-        result, _ = self._run(scenario)
+        scenario = self._saturated()
+        assert scenario.lock_admission is None  # the unrestricted arm
+        with configured(RunConfig.from_env()):
+            result, _ = self._run(scenario)
         assert sum(s.passivations for s in result.locks.values()) > 0
 
-    def test_explicit_zero_blocks_the_env_knob(self, monkeypatch):
-        scenario = self._saturated()
-        assert scenario.lock_admission == 0  # the pinned unrestricted arm
+    def test_explicit_admission_beats_the_config_knob(self):
+        scenario = self._saturated(admission=4)
         _, baseline = self._run(scenario)
-        monkeypatch.setenv("REPRO_LOCK_ADMISSION", "1")
-        result, pinned = self._run(scenario)
+        _, pinned = self._run(scenario, RunConfig(lock_admission=1))
         assert pinned == baseline
-        assert sum(s.passivations for s in result.locks.values()) == 0
+
+    def test_unrestricted_experiment_arm_ignores_the_config_knob(self):
+        from repro.experiments.lock_collapse import _sweep_cell
+
+        baseline = _sweep_cell(("none", 10, "quick", 0))
+        with configured(RunConfig(lock_admission=1)):
+            pinned = _sweep_cell(("none", 10, "quick", 0))
+        assert pinned == baseline
+        assert pinned.passivations == 0
 
     def test_corpus_cases_pin_the_env_out(self):
         cases = {case.name: case for case in build_catalog()}
-        assert cases["locks-collapse-unrestricted"].to_scenario().lock_admission == 0
+        unrestricted = cases["locks-collapse-unrestricted"]
+        assert unrestricted.to_scenario().lock_admission is None
         assert cases["locks-scenario-admission"].to_scenario().lock_admission == 2
+        with configured(RunConfig(lock_admission=1)):
+            outcome = run_case(unrestricted)
+        assert outcome.ok and outcome.passivations == 0
