@@ -58,9 +58,6 @@ class _RoutedBoard:
     def read(self, app_id: str) -> Optional[int]:
         return self._board.read(app_id)
 
-    def read_app(self, app_id: str):
-        return self._board.read_app(app_id)
-
     def report_demand(self, app_id: str, backlog: int, now: int) -> None:
         self._board.report_demand(app_id, backlog, now)
 

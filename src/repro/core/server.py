@@ -1,8 +1,8 @@
 """The process-control server (Section 5), shardable.
 
 A user-level daemon process that, every ``interval`` (6 seconds in the
-paper), scans the kernel's process table, determines the runnable load of
-uncontrollable applications, asks its :class:`~repro.core.allocation.
+paper), samples the kernel's process census, determines the runnable load
+of uncontrollable applications, asks its :class:`~repro.core.allocation.
 AllocationPolicy` to partition the remaining processors among the
 controllable applications, and publishes the per-application targets on a
 :class:`~repro.kernel.ipc.ControlBoard`.  Applications poll the board
@@ -13,7 +13,7 @@ backlog back onto the board, which demand-aware policies consume.
 Applications announce themselves by sending a registration message with
 their root pid (and initial backlog) on the server's channel; the server
 keeps a registry (used for reporting and for the paper's parent-pid
-bookkeeping) but derives its load information from the process table each
+bookkeeping) but derives its load information from the kernel's census each
 round, so it also notices applications that vanish without deregistering.
 
 A server normally owns the whole machine.  Under a
@@ -25,7 +25,7 @@ mechanism by which the paper's centralized bottleneck scales out.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.allocation import (
     AllocationPolicy,
@@ -33,7 +33,7 @@ from repro.core.allocation import (
     EquipartitionPolicy,
     WeightedPolicy,
 )
-from repro.core.policy import IncrementalWaterFiller, partition_processors
+from repro.core.policy import IncrementalWaterFiller
 from repro.kernel import Kernel
 from repro.kernel import syscalls as sc
 from repro.kernel.ipc import Channel, ControlBoard
@@ -59,15 +59,6 @@ class ProcessControlServer:
             deciding each round's targets; defaults to the paper's
             :class:`~repro.core.allocation.EquipartitionPolicy`.
     """
-
-    #: Use :class:`~repro.kernel.syscalls.GetLoadSummary` + journal replay
-    #: instead of a full :class:`GetProcessTable` scan.  Same simulated
-    #: cost and bit-identical targets; host-side work per scan becomes
-    #: O(changes since the last scan) instead of O(processes).  A class
-    #: attribute so tests can flip every server back to the legacy table
-    #: scan (the differential baseline) in one place; instances may also
-    #: override it individually.
-    fast_scan = True
 
     def __init__(
         self,
@@ -115,7 +106,7 @@ class ProcessControlServer:
         # Shard binding (None = this server owns the whole machine).
         self._plane: Optional[Any] = None
         self._shard_index: int = 0
-        # --- Sparse-census scan state (see the fast_scan class attr) ----
+        # --- Sparse-census scan state (GetLoadSummary + journal replay) --
         self._census_cursor = 0
         #: Machine-wide alive process totals per controllable application,
         #: as of this server's journal cursor.
@@ -124,16 +115,17 @@ class ProcessControlServer:
         #: full view on an unsharded server).
         self._my_apps: Dict[str, int] = self._alive_view
         #: Applications seen in the journal before the plane routed them
-        #: (sharded only); reconciled -- in first-spawn order, matching
-        #: the table scan's assignment order -- at each scan.
+        #: (sharded only); reconciled -- in first-spawn order -- at each
+        #: scan.
         self._unassigned: Dict[str, int] = {}
         #: Sorted-cap structure mirroring ``_my_apps``; gives the default
         #: equipartition rule O(log n) updates per application change.
         self._filler = IncrementalWaterFiller()
-        #: Armed by SchedSanitizer.watch_server: re-derive every fast-scan
-        #: round from first principles (batch water-filling over a fresh
-        #: snapshot) and fail loudly on any divergence.
-        self._check_scans = False
+        #: Armed by SchedSanitizer.watch_server: called as
+        #: ``check(server, summary, targets, capacity, uncontrolled)``
+        #: after every scan to re-derive it from first principles
+        #: (:func:`repro.sanitize.invariants.check_server_scan`).
+        self._scan_check: Optional[Callable[..., None]] = None
 
     # ------------------------------------------------------------------
     # Sharding
@@ -314,12 +306,10 @@ class ProcessControlServer:
         """Route applications that appeared in the journal before the
         plane assigned them a shard.
 
-        The table-scan path assigns unrouted applications as a side
-        effect of filtering each scan, in table (first-spawn) order; the
-        journal inserts them into ``_unassigned`` in the same order, so
-        replaying the round-robin here keeps the plane's assignment
-        sequence -- and therefore every shard's application set --
-        bit-identical to the legacy scan's.
+        The journal inserts them into ``_unassigned`` in first-spawn
+        order, so the plane's round-robin assignment sequence -- and
+        therefore every shard's application set -- is the one a walk of
+        the process table (pid order) would produce.
         """
         if not self._unassigned:
             return
@@ -359,8 +349,7 @@ class ProcessControlServer:
     def _targets_from_summary(
         self, summary: sc.LoadSummary, now: int
     ) -> Dict[str, int]:
-        """One partitioning decision from a :class:`GetLoadSummary` reply
-        (the sparse sibling of :meth:`compute_targets`)."""
+        """One partitioning decision from a :class:`GetLoadSummary` reply."""
         self._replay_census(summary.journal_len)
         plane = self._plane
         if plane is not None:
@@ -371,6 +360,8 @@ class ProcessControlServer:
                 index, summary.uncontrolled_runnable
             )
         else:
+            # Only the processors actually in service: the >=1-per-app
+            # floor then keeps every application alive under CPU loss.
             capacity = self.kernel.online_processor_count()
             uncontrolled = summary.uncontrolled_runnable
         policy = self.policy
@@ -393,97 +384,13 @@ class ProcessControlServer:
                     now=now,
                 )
             )
-        if self._check_scans:
-            self._check_fast_scan(targets, capacity, uncontrolled)
+        if self._scan_check is not None:
+            self._scan_check(self, summary, targets, capacity, uncontrolled)
         return targets
-
-    def _check_fast_scan(
-        self, targets: Dict[str, int], capacity: int, uncontrolled: int
-    ) -> None:
-        """Sanitizer-armed oracle: the incremental allocation must equal the
-        batch rule on the same inputs, and the replayed views must equal
-        the filler's.  (The census counters themselves are cross-checked
-        against a real table walk inside the kernel's syscall handler,
-        where both sides see the same instant.)"""
-        if type(self.policy) is EquipartitionPolicy:
-            batch = partition_processors(
-                capacity, uncontrolled, dict(self._my_apps)
-            )
-            if batch != targets:
-                raise AssertionError(
-                    "incremental water-filling diverged from the batch "
-                    f"oracle: incremental={targets} batch={batch} "
-                    f"caps={dict(self._my_apps)} capacity={capacity} "
-                    f"uncontrolled={uncontrolled}"
-                )
-        if self._filler.caps() != dict(self._my_apps):
-            raise AssertionError(
-                "sorted-cap structure diverged from the replayed census "
-                f"view: filler={self._filler.caps()} view={dict(self._my_apps)}"
-            )
 
     # ------------------------------------------------------------------
     # The partitioning round
     # ------------------------------------------------------------------
-
-    def compute_targets(
-        self, table: List[sc.Syscall], now: int
-    ) -> Dict[str, int]:
-        """One partitioning decision from a process-table snapshot.
-
-        Split out of the server loop so tests can drive it directly with a
-        synthetic table.
-        """
-        plane = self._plane
-        if plane is not None:
-            # Sibling shard servers are system daemons too; none of them
-            # is load the applications should be charged for.
-            own_pids = plane.server_pids()
-        else:
-            own_pids = {self.pid}
-        uncontrolled = sum(
-            1
-            for row in table
-            if row.runnable and not row.controllable and row.pid not in own_pids
-        )
-        app_totals: Dict[str, int] = {}
-        app_runnable: Dict[str, int] = {}
-        for row in table:
-            if row.controllable and row.app_id is not None:
-                app_totals[row.app_id] = app_totals.get(row.app_id, 0) + 1
-                if row.runnable:
-                    app_runnable[row.app_id] = (
-                        app_runnable.get(row.app_id, 0) + 1
-                    )
-        if plane is not None:
-            index = self._shard_index
-            app_totals = {
-                app_id: total
-                for app_id, total in app_totals.items()
-                if plane.shard_of(app_id) == index
-            }
-            capacity = plane.shard_capacity(index)
-            uncontrolled = plane.shard_uncontrolled(index, uncontrolled)
-        else:
-            # Only the processors that are actually in service: the
-            # water-filling policy's >=1-per-application floor then keeps
-            # every application alive even under CPU loss (the starvation
-            # floor holds because it is computed against real capacity).
-            capacity = self.kernel.online_processor_count()
-        return self.policy.allocate(
-            AllocationRequest(
-                n_processors=capacity,
-                uncontrolled_runnable=uncontrolled,
-                app_totals=app_totals,
-                demands=self.board.demand_snapshot(),
-                demand_reported_at=dict(self.board.demand_reported_at),
-                qos=self.board.qos_snapshot(),
-                published=dict(self.board.targets),
-                runnable=app_runnable,
-                compliance=self.board.compliance_snapshot(),
-                now=now,
-            )
-        )
 
     def _program(self):
         while True:
@@ -502,41 +409,20 @@ class ProcessControlServer:
                         app_id=app_id,
                         root_pid=root_pid,
                     )
-            if self.fast_scan:
-                # Same snapshot instant and same simulated cost as the
-                # table scan below; the reply is O(1) counters plus a
-                # journal watermark, so the host-side round costs
-                # O(changes) instead of O(processes).
-                plane = self._plane
-                own_pids = (
-                    plane.server_pids() if plane is not None else {self.pid}
-                )
-                summary = yield sc.GetLoadSummary(
-                    exclude_pids=tuple(
-                        pid for pid in own_pids if pid is not None
-                    )
-                )
-                targets = self._targets_from_summary(summary, self.kernel.now)
-            else:
-                table = yield sc.GetProcessTable()
-                targets = self.compute_targets(table, self.kernel.now)
+            # The reply is O(1) counters plus a journal watermark, charged
+            # per alive process like a table scan, so the host-side round
+            # costs O(changes) while the simulated cost stays the paper's.
+            # Sibling shard servers are system daemons too; none of them
+            # is load the applications should be charged for.
+            plane = self._plane
+            own_pids = plane.server_pids() if plane is not None else {self.pid}
+            summary = yield sc.GetLoadSummary(
+                exclude_pids=tuple(pid for pid in own_pids if pid is not None)
+            )
+            targets = self._targets_from_summary(summary, self.kernel.now)
             yield sc.Compute(self.compute_cost)
-            if self.fast_scan:
-                # Sparse publish: patch only the entries that moved, so a
-                # quiet scan bumps no per-application dirty versions and
-                # readers can tell their entry did not change.
-                board_targets = self.board.targets
-                changes = {
-                    app_id: target
-                    for app_id, target in targets.items()
-                    if board_targets.get(app_id) != target
-                }
-                removals = tuple(
-                    app_id for app_id in board_targets if app_id not in targets
-                )
-                self.board.post_delta(changes, removals, self.kernel.now)
-            else:
-                self.board.post(targets, self.kernel.now)
+            # Sparse publish: only the entries that moved are written.
+            self.board.post(targets, self.kernel.now)
             # Liveness word for the watchdog: a free shared-memory stamp
             # once per scan (never an event, so golden traces hold).
             self.board.beat(self.kernel.now)

@@ -201,13 +201,15 @@ class PollFault(FaultInjector):
 
     * ``drop``: during the window each ``read`` returns ``None`` with
       probability ``p`` (the application's poll response is lost);
-    * ``delay``: each ``post`` during the window lands ``delay`` later
+    * ``delay``: each posting during the window lands ``delay`` later
       (the server's update is in flight);
-    * ``dup``: reads are served the *previous* post's targets -- the
+    * ``dup``: reads are served the posting before the latest one -- the
       duplicated, stale response of a retransmitting transport.
 
-    Overlapping windows on the same board chain their shims; the inner
-    window then effectively extends to the outer restore.
+    The write-side modes shim :meth:`~repro.kernel.ipc.ControlBoard.
+    post_delta`, the board's one write path.  Overlapping windows on the
+    same board chain their shims; the inner window then effectively
+    extends to the outer restore.
     """
 
     kind = "poll-fault"
@@ -275,32 +277,40 @@ class PollFault(FaultInjector):
                 board.read = faulty_read
                 restores.append((board, "read", faulty_read, original_read))
             elif self.mode == "delay":
-                original_post = board.post
+                original_write = board.post_delta
 
-                def faulty_post(targets, now):
-                    engine.schedule(
-                        self.delay,
-                        lambda t=dict(targets): original_post(t, engine.now),
-                        "fault-delayed-post",
-                    )
+                def delayed_write(changes, removals, now):
+                    # The map this posting means, rewritten as a delta
+                    # against whatever the board holds when it lands.
+                    posted = dict(board.targets)
+                    for app_id in removals:
+                        posted.pop(app_id, None)
+                    posted.update(changes)
 
-                board.post = faulty_post
-                restores.append((board, "post", faulty_post, original_post))
-            else:  # dup: serve the previous post's targets
+                    def land() -> None:
+                        original_write(*board.delta_to(posted), engine.now)
+
+                    engine.schedule(self.delay, land, "fault-delayed-post")
+
+                board.post_delta = delayed_write
+                restores.append(
+                    (board, "post_delta", delayed_write, original_write)
+                )
+            else:  # dup: serve the posting before the latest one
                 original_read = board.read
-                original_post = board.post
+                original_write = board.post_delta
                 previous = [dict(board.targets)]
 
-                def dup_post(targets, now):
+                def dup_write(changes, removals, now):
                     previous[0] = dict(board.targets)
-                    original_post(targets, now)
+                    original_write(changes, removals, now)
 
                 def dup_read(app_id: str):
                     return previous[0].get(app_id)
 
-                board.post = dup_post
+                board.post_delta = dup_write
                 board.read = dup_read
-                restores.append((board, "post", dup_post, original_post))
+                restores.append((board, "post_delta", dup_write, original_write))
                 restores.append((board, "read", dup_read, original_read))
 
         def start() -> None:

@@ -94,11 +94,6 @@ class ControlBoard:
     def __init__(self) -> None:
         self.targets: Dict[str, int] = {}
         self.version = 0
-        #: Per-application dirty tracking: the board version at which each
-        #: application's target last *changed value* (not merely was
-        #: re-posted unchanged).  Readers remember the version they last
-        #: acted on and skip work when their entry has not moved.
-        self.app_version: Dict[str, int] = {}
         self.updated_at: Optional[int] = None
         #: Last backlog each application reported (queued + in-execution
         #: tasks), and when; consumed by demand-aware allocation policies.
@@ -137,29 +132,23 @@ class ControlBoard:
         self.crashed_at: Optional[int] = None
 
     def post(self, targets: Dict[str, int], now: int) -> None:
-        """Publish a new target map (server side)."""
-        for app_id, target in targets.items():
-            if target < 0:
-                raise ValueError(
-                    f"negative target {target} for application {app_id!r}"
-                )
-        old = self.targets
-        self.version += 1
-        version = self.version
-        app_version = self.app_version
-        posted_at = self.target_posted_at
-        for app_id, target in targets.items():
-            if old.get(app_id) != target:
-                app_version[app_id] = version
-                posted_at[app_id] = now
-        for app_id in old:
-            if app_id not in targets:
-                app_version.pop(app_id, None)
-                posted_at.pop(app_id, None)
-        self.targets = dict(targets)
-        self.updated_at = now
-        # A live post supersedes any recorded crash of a prior incarnation.
-        self.crashed_at = None
+        """Publish a full target map (server side), written through
+        :meth:`post_delta` as the entries that differ from the current map."""
+        self.post_delta(*self.delta_to(targets), now)
+
+    def delta_to(
+        self, targets: Dict[str, int]
+    ) -> Tuple[Dict[str, int], Tuple[str, ...]]:
+        """The ``(changes, removals)`` that turn the current map into
+        *targets*."""
+        current = self.targets
+        changes = {
+            app_id: target
+            for app_id, target in targets.items()
+            if current.get(app_id) != target
+        }
+        removals = tuple(app_id for app_id in current if app_id not in targets)
+        return changes, removals
 
     def post_delta(
         self,
@@ -167,12 +156,13 @@ class ControlBoard:
         removals: Tuple[str, ...],
         now: int,
     ) -> None:
-        """Patch the target map in place (server side, sparse path).
+        """Patch the target map in place (server side).
 
-        Equivalent to :meth:`post` of the full map with *changes* applied
-        and *removals* dropped, but the cost is proportional to what
-        actually changed -- the write the incremental control server emits
-        when only a handful of the 10k applications moved this scan.
+        The board's one write path: *changes* are applied, *removals*
+        dropped, and the cost is proportional to what actually changed --
+        a scan where only a handful of the 10k applications moved writes
+        only those entries.  Every call counts as a posting (``version``
+        and ``updated_at`` advance even when nothing moved).
         """
         for app_id, target in changes.items():
             if target < 0:
@@ -181,30 +171,17 @@ class ControlBoard:
                 )
         targets = self.targets
         self.version += 1
-        version = self.version
-        app_version = self.app_version
         posted_at = self.target_posted_at
         for app_id, target in changes.items():
             if targets.get(app_id) != target:
                 targets[app_id] = target
-                app_version[app_id] = version
                 posted_at[app_id] = now
         for app_id in removals:
             if targets.pop(app_id, None) is not None:
-                app_version.pop(app_id, None)
                 posted_at.pop(app_id, None)
         self.updated_at = now
+        # A live post supersedes any recorded crash of a prior incarnation.
         self.crashed_at = None
-
-    def read_app(self, app_id: str) -> Tuple[Optional[int], int]:
-        """Read ``(target, dirty version)`` for *app_id* (application side).
-
-        The second element is the board version at which the entry last
-        changed (0 when never posted); a reader that remembers the version
-        it last honoured can skip its adjustment logic entirely when the
-        entry is clean.
-        """
-        return self.targets.get(app_id), self.app_version.get(app_id, 0)
 
     def beat(self, now: int) -> None:
         """Stamp the liveness word (server side, once per scan)."""

@@ -39,6 +39,18 @@ from repro.sim import Engine, TraceLog
 from repro.sim.engine import EventHandle, SimulationError
 
 
+def fold_census_journal(entries) -> Dict[str, int]:
+    """Replay ``(app_id, new_total)`` census-journal entries into an empty
+    view: the per-application alive totals they describe."""
+    totals: Dict[str, int] = {}
+    for app_id, total in entries:
+        if total > 0:
+            totals[app_id] = total
+        else:
+            totals.pop(app_id, None)
+    return totals
+
+
 @dataclass
 class _CpuState:
     """Kernel-private per-processor bookkeeping."""
@@ -357,7 +369,6 @@ class Kernel:
         max_events: int = 50_000_000,
         max_time: Optional[int] = None,
         done_exit_gated: bool = False,
-        loop: str = "fused",
     ) -> None:
         """Step the engine until *done* returns True (default: all non-daemon
         processes have terminated), the calendar empties, or a guard trips.
@@ -368,59 +379,18 @@ class Kernel:
         call while the kernel's live-process counter is nonzero, which is
         observably identical but markedly cheaper on long runs.
 
-        *loop* selects the driver: ``"fused"`` (the default) uses the
-        engine's inlined :meth:`~repro.sim.engine.Engine.run_until_done`;
-        ``"plain"`` drives :meth:`~repro.sim.engine.Engine.step` from an
-        ordinary Python loop with identical semantics.  The plain loop
-        exists as the reference side of the sanitizer's differential
-        oracle (:mod:`repro.sanitize.oracle`) -- both must fire exactly
-        the same events.
-
         Raises :class:`SimulationError` on the event guard; raises on time
         guard as well, since hitting either means a hang in an experiment.
         """
         if done is None:
             done = lambda: self.alive_nondaemon_count() == 0  # noqa: E731
             done_exit_gated = True
-        if loop == "fused":
-            self.engine.run_until_done(
-                done,
-                max_events=max_events,
-                max_time=max_time,
-                exit_gated=done_exit_gated,
-            )
-        elif loop == "plain":
-            self._run_plain(done, max_events, max_time, done_exit_gated)
-        else:
-            raise ValueError(f"unknown loop {loop!r}; use 'fused' or 'plain'")
-
-    def _run_plain(
-        self,
-        done: Callable[[], bool],
-        max_events: Optional[int],
-        max_time: Optional[int],
-        exit_gated: bool,
-    ) -> None:
-        """The un-fused event loop: one :meth:`Engine.step` per iteration,
-        mirroring ``run_until_done``'s guards and exit-gating exactly."""
-        engine = self.engine
-        ungated = not exit_gated
-        fired = 0
-        while not ((ungated or engine.done_hint) and done()):
-            if max_events is not None and fired >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
-            if not engine.step():
-                if done():  # defensive re-check, mirroring run_until_done
-                    break
-                raise SimulationError(
-                    "event calendar empty but the completion predicate "
-                    "is still false: the workload is deadlocked"
-                )
-            fired += 1
-            if max_time is not None and engine.now > max_time:
-                raise SimulationError(
-                    f"simulated time exceeded max_time={max_time}us"
-                )
+        self.engine.run_until_done(
+            done,
+            max_events=max_events,
+            max_time=max_time,
+            exit_gated=done_exit_gated,
+        )
 
     # ------------------------------------------------------------------
     # Accounting helpers
@@ -1420,10 +1390,9 @@ class Kernel:
         """The sparse-census sibling of :meth:`_sys_get_process_table`.
 
         Snapshots the incrementally-maintained counters at syscall-entry
-        time (exactly when the table scan would have been taken) and
-        charges the same per-alive-process cost, so swapping a server from
-        the table call to this one leaves the simulated timeline
-        bit-identical while making the host-side scan O(changes).
+        time and charges the table scan's per-alive-process cost, so the
+        simulated timeline is that of a table scan while the host-side
+        scan is O(changes).
         """
         uncontrolled = self._uncontrolled_runnable
         for pid in syscall.exclude_pids:
@@ -1435,17 +1404,20 @@ class Kernel:
             ):
                 uncontrolled -= 1
         alive = self._alive_total
+        runnable_by_app = {
+            app: count
+            for app, count in self._runnable_per_app.items()
+            if app is not None
+        }
         if self._check_census:
-            self._verify_census(syscall.exclude_pids, uncontrolled, alive)
+            self._verify_census(
+                syscall.exclude_pids, uncontrolled, alive, runnable_by_app
+            )
         summary = sc.LoadSummary(
             journal_len=len(self._census_journal),
             uncontrolled_runnable=uncontrolled,
             alive=alive,
-            runnable_by_app={
-                app: count
-                for app, count in self._runnable_per_app.items()
-                if app is not None
-            },
+            runnable_by_app=runnable_by_app,
         )
         cost = (
             self.config.getrunnable_base_cost
@@ -1454,35 +1426,48 @@ class Kernel:
         return self._finish_syscall(cpu, process, summary, cost)
 
     def _verify_census(
-        self, exclude_pids: tuple, uncontrolled: int, alive: int
+        self,
+        exclude_pids: tuple,
+        uncontrolled: int,
+        alive: int,
+        runnable_by_app: Dict[str, int],
     ) -> None:
-        """Sparse-census oracle (sanitizer-armed): the incremental counters
-        and the journal-replayed per-application totals must agree with a
-        full table walk taken at this very instant."""
+        """Sparse-census oracle (sanitizer-armed): every
+        :class:`~repro.kernel.syscalls.LoadSummary` field, the per-app
+        alive totals, and the census journal folded from its start must
+        agree with a full table walk taken at this very instant."""
         walk_alive = 0
         walk_uncontrolled = 0
         walk_totals: Dict[str, int] = {}
+        walk_runnable: Dict[str, int] = {}
         excluded = set(exclude_pids)
         for p in self.processes.values():
             if not p.alive:
                 continue
             walk_alive += 1
+            runnable = p.state in RUNNABLE_STATES
+            if runnable and p.app_id is not None:
+                walk_runnable[p.app_id] = walk_runnable.get(p.app_id, 0) + 1
             if p.controllable:
                 if p.app_id is not None:
                     walk_totals[p.app_id] = walk_totals.get(p.app_id, 0) + 1
-            elif p.state in RUNNABLE_STATES and p.pid not in excluded:
+            elif runnable and p.pid not in excluded:
                 walk_uncontrolled += 1
-        replayed = {a: t for a, t in self._app_alive.items() if t > 0}
+        counted = {a: t for a, t in self._app_alive.items() if t > 0}
+        journal = fold_census_journal(self._census_journal)
         if (
             walk_alive != alive
             or walk_uncontrolled != uncontrolled
-            or walk_totals != replayed
+            or walk_totals != counted
+            or walk_totals != journal
+            or walk_runnable != runnable_by_app
         ):
             raise SimulationError(
                 "sparse census diverged from the process table: "
                 f"alive {alive} vs {walk_alive}, uncontrolled "
                 f"{uncontrolled} vs {walk_uncontrolled}, per-app "
-                f"{replayed} vs {walk_totals}"
+                f"{counted} (journal {journal}) vs {walk_totals}, "
+                f"runnable {runnable_by_app} vs {walk_runnable}"
             )
 
     def _sys_set_no_preempt(

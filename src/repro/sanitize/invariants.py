@@ -20,7 +20,9 @@ invariants the experiments silently rely on:
   heap entries and no live event is scheduled in the past;
 * once a control server is watched, no application sustains more runnable
   workers than its granted share beyond a compliance window (workers only
-  obey at safe points, so momentary overruns are legal).
+  obey at safe points, so momentary overruns are legal), and every scan the
+  server makes is re-derived from the kernel's census journal
+  (:func:`check_server_scan`).
 
 Cheap checks (monotonic time, shadow-state bookkeeping) run at every shim;
 expensive ones (census cross-check via
@@ -40,6 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.core.allocation import EquipartitionPolicy
+from repro.core.policy import partition_processors
+from repro.kernel.kernel import fold_census_journal
 from repro.kernel.process import ProcessState
 from repro.sim.engine import SimulationError
 
@@ -173,8 +178,8 @@ class SchedSanitizer:
 
     def watch_server(self, server, poll_interval: int, compliance_factor: int = 4) -> None:
         """Arm the runnable-share check against *server*'s control board,
-        and each server's incremental-vs-batch scan oracle (*server* is a
-        :class:`~repro.core.server.ProcessControlServer` or a
+        and :func:`check_server_scan` on each server's every scan (*server*
+        is a :class:`~repro.core.server.ProcessControlServer` or a
         :class:`~repro.core.plane.ControlPlane` of them).
 
         Workers only obey targets at task-queue safe points, and resumes
@@ -186,7 +191,7 @@ class SchedSanitizer:
         self._server = server
         self._compliance_window = compliance_factor * poll_interval
         for shard in getattr(server, "servers", [server]):
-            shard._check_scans = True
+            shard._scan_check = check_server_scan
 
     def watch_packages(self, packages) -> None:
         """Tell the share check about the application packages.
@@ -737,3 +742,57 @@ class SchedSanitizer:
 
 #: Sentinel distinguishing "no instance attribute existed" in detach().
 _MISSING = object()
+
+
+def check_server_scan(server, summary, targets, capacity, uncontrolled) -> None:
+    """Scan oracle (armed by :meth:`SchedSanitizer.watch_server`): re-derive
+    one sparse server scan from first principles.
+
+    The kernel's census oracle has already proved, at the syscall instant,
+    that *summary* and the census journal equal a process-table walk.  This
+    proves the server's side of the round against that journal:
+
+    * ``_alive_view`` equals the journal folded from scratch up to
+      ``summary.journal_len`` (no replay entry dropped or misapplied);
+    * ``_my_apps`` equals that fold filtered by the plane's assignment (no
+      application routed to the wrong shard);
+    * the sorted-cap structure mirrors ``_my_apps``, and under the default
+      rule its incremental targets equal batch water-filling.
+    """
+    folded = fold_census_journal(
+        server.kernel.census_journal_entries(0, summary.journal_len)
+    )
+    if server._alive_view != folded:
+        raise SimulationError(
+            f"{server.name}: replayed census view diverged from the "
+            f"journal: view={server._alive_view} journal={folded}"
+        )
+    plane = server._plane
+    if plane is not None:
+        assignment = plane.assignment
+        index = server.shard_index
+        folded = {
+            app_id: total
+            for app_id, total in folded.items()
+            if assignment.get(app_id) == index
+        }
+    mine = dict(server._my_apps)
+    if mine != folded:
+        raise SimulationError(
+            f"{server.name}: shard view diverged from the routed journal: "
+            f"view={mine} routed={folded}"
+        )
+    if server._filler.caps() != mine:
+        raise SimulationError(
+            f"{server.name}: sorted-cap structure diverged from the "
+            f"replayed census view: filler={server._filler.caps()} "
+            f"view={mine}"
+        )
+    if type(server.policy) is EquipartitionPolicy:
+        batch = partition_processors(capacity, uncontrolled, mine)
+        if batch != targets:
+            raise SimulationError(
+                f"{server.name}: incremental water-filling diverged from "
+                f"the batch oracle: incremental={targets} batch={batch} "
+                f"caps={mine} capacity={capacity} uncontrolled={uncontrolled}"
+            )

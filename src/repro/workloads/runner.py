@@ -268,18 +268,14 @@ def run_scenario(
     scenario: Scenario,
     trace: Optional[TraceLog] = None,
     max_events: int = 50_000_000,
-    engine_loop: str = "fused",
     config: Optional[RunConfig] = None,
 ) -> ScenarioResult:
     """Run *scenario* to completion and reduce its measurements.
 
     *config* supplies every knob the scenario leaves unset (default: the
     active config, see :mod:`repro.config`); its ``sanitize`` mode picks
-    the invariant checker.  *engine_loop* picks the event loop
-    (``"fused"`` or ``"plain"``, see
-    :meth:`~repro.kernel.kernel.Kernel.run_until_quiescent`).  The fault
-    plan is seeded from ``scenario.seed``, so the same scenario + spec
-    replays bit-identically.
+    the invariant checker.  The fault plan is seeded from
+    ``scenario.seed``, so the same scenario + spec replays bit-identically.
     """
     if not scenario.apps:
         raise ValueError("scenario has no applications")
@@ -418,7 +414,6 @@ def run_scenario(
         # The predicate cannot be true while any worker is alive, so let
         # the event loop skip it until the kernel's exit path says so.
         done_exit_gated=True,
-        loop=engine_loop,
     )
     kernel.finalize_accounting()
     if sanitizer is not None:

@@ -20,6 +20,7 @@ from repro.config import ENV_VARS, RunConfig, active_config, configured
 from repro.core.server import ProcessControlServer
 from repro.experiments.parallel import parallel_map
 from repro.kernel import Kernel
+from repro.sanitize import invariants
 from repro.scenarios import all_cases, run_catalog
 from repro.scenarios.runner import open_golden_store
 from repro.sim import units
@@ -152,18 +153,18 @@ class TestOracleArming:
     def _count_oracle_calls(monkeypatch):
         calls = {"census": 0, "scans": 0}
         census = Kernel._verify_census
-        scans = ProcessControlServer._check_fast_scan
+        scans = invariants.check_server_scan
 
         def counted_census(self, *args):
             calls["census"] += 1
             return census(self, *args)
 
-        def counted_scans(self, *args):
+        def counted_scans(*args):
             calls["scans"] += 1
-            return scans(self, *args)
+            return scans(*args)
 
         monkeypatch.setattr(Kernel, "_verify_census", counted_census)
-        monkeypatch.setattr(ProcessControlServer, "_check_fast_scan", counted_scans)
+        monkeypatch.setattr(invariants, "check_server_scan", counted_scans)
         return calls
 
     def test_sanitize_zero_arms_neither_oracle(self, monkeypatch):
@@ -171,7 +172,7 @@ class TestOracleArming:
         calls = self._count_oracle_calls(monkeypatch)
         kernel = make_kernel()
         server = ProcessControlServer(kernel, interval=units.ms(20))
-        assert not kernel._check_census and not server._check_scans
+        assert not kernel._check_census and server._scan_check is None
         with configured(RunConfig.from_env()) as config:
             assert config.sanitize is None
             run_scenario(_controlled_scenario())

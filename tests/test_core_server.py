@@ -5,21 +5,9 @@ import pytest
 from repro.core.allocation import DemandPolicy, EquipartitionPolicy, make_policy
 from repro.core.server import ProcessControlServer
 from repro.kernel import syscalls as sc
-from repro.kernel.process import ProcessState, RunnableProcessInfo
 from repro.sim import units
 
 from tests.conftest import make_kernel
-
-
-def table_row(pid, app_id=None, controllable=False, state=ProcessState.READY):
-    return RunnableProcessInfo(
-        pid=pid,
-        ppid=0,
-        app_id=app_id,
-        controllable=controllable,
-        state=state,
-        name=f"p{pid}",
-    )
 
 
 def cpu_bound(duration, chunk=units.ms(10)):
@@ -155,38 +143,48 @@ class TestServerLoop:
         assert isinstance(server.policy, EquipartitionPolicy)
 
     def test_registry_built_default_reproduces_section5(self):
-        # The worked example of Section 5, driven straight through
-        # compute_targets with a policy built from the registry: 8 CPUs,
-        # 2 uncontrolled runnable processes, apps of 2/6/6 -> 2/2/2.
+        # The worked example of Section 5, through a live server whose
+        # policy is built from the registry: 8 CPUs, 2 uncontrolled
+        # runnable processes, apps of 2/6/6 -> 2/2/2.
         kernel = make_kernel(n_processors=8)
         server = ProcessControlServer(
             kernel, interval=units.ms(50), policy=make_policy("equal")
         )
-        table = [table_row(pid, controllable=False) for pid in (100, 101)]
-        pid = 200
+        server.start()
+        for i in range(2):
+            kernel.spawn(cpu_bound(units.seconds(1)), name=f"hog{i}", daemon=True)
         for app_id, total in (("app1", 2), ("app2", 6), ("app3", 6)):
-            for _ in range(total):
-                table.append(table_row(pid, app_id=app_id, controllable=True))
-                pid += 1
-        targets = server.compute_targets(table, now=0)
-        assert targets == {"app1": 2, "app2": 2, "app3": 2}
+            for i in range(total):
+                kernel.spawn(
+                    cpu_bound(units.ms(200)),
+                    name=f"{app_id}.{i}",
+                    app_id=app_id,
+                    controllable=True,
+                )
+        kernel.run_until_quiescent(done=lambda: server.updates >= 1)
+        assert server.history[0][1] == {"app1": 2, "app2": 2, "app3": 2}
 
     def test_demand_policy_consumes_board_reports(self):
         kernel = make_kernel(n_processors=8)
         server = ProcessControlServer(
             kernel, interval=units.ms(50), policy=DemandPolicy()
         )
-        table = []
-        pid = 200
+        server.start()
         for app_id in ("a", "b"):
-            for _ in range(6):
-                table.append(table_row(pid, app_id=app_id, controllable=True))
-                pid += 1
+            for i in range(6):
+                kernel.spawn(
+                    cpu_bound(units.ms(300)),
+                    name=f"{app_id}{i}",
+                    app_id=app_id,
+                    controllable=True,
+                )
         # Before any demand report: plain equipartition.
-        assert server.compute_targets(table, now=0) == {"a": 4, "b": 4}
+        kernel.run_until_quiescent(done=lambda: server.updates >= 1)
+        assert server.history[-1][1] == {"a": 4, "b": 4}
         # "a" reports a 2-task backlog: its share shrinks, "b" absorbs.
-        server.board.report_demand("a", 2, now=0)
-        assert server.compute_targets(table, now=0) == {"a": 2, "b": 6}
+        server.board.report_demand("a", 2, now=kernel.now)
+        kernel.run_until_quiescent(done=lambda: server.updates >= 2)
+        assert server.history[-1][1] == {"a": 2, "b": 6}
 
     def test_registration_piggybacks_initial_backlog(self):
         kernel = make_kernel(n_processors=2)

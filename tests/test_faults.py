@@ -421,3 +421,63 @@ class TestInjectors:
         result = run_scenario(scenario, config=RunConfig(sanitize="record"))
         assert result.faults_injected == 1
         assert result.fault_events
+
+
+class TestPollWriteFaults:
+    """``poll-delay`` and ``poll-dup`` shim the board's one write path, so
+    they act on the postings a live server actually makes."""
+
+    @staticmethod
+    def _run(spec, probe_every=None):
+        kernel = make_kernel(n_processors=4)
+        server = ProcessControlServer(kernel, interval=units.ms(10))
+        server.start()
+        # The short app's workers exit one by one, moving the long app's
+        # target twice while the fault window is open.
+        for app_id, duration in (("long", units.ms(200)), ("short", units.ms(45))):
+            for i in range(3):
+                kernel.spawn(
+                    compute(duration),
+                    name=f"{app_id}{i}",
+                    app_id=app_id,
+                    controllable=True,
+                )
+        FaultPlan.from_spec(spec).install(kernel, server=server)
+        reads = []
+        if probe_every is not None:
+            for t in range(probe_every, units.ms(150), probe_every):
+                kernel.engine.schedule_at(
+                    t,
+                    lambda: reads.append(
+                        (kernel.now, server.board.read("long"))
+                    ),
+                    "probe",
+                )
+        kernel.run_until_quiescent()
+        return server, reads
+
+    def test_poll_delay_lands_each_posting_late(self):
+        delay = units.ms(3)
+        server, _ = self._run(f"poll-delay:at=0,duration=1s,delay={delay}")
+        history = server.history
+        changes = [
+            time
+            for (_, before), (time, after) in zip(history, history[1:])
+            if before.get("long") != after.get("long")
+        ]
+        assert changes, "the long app's target never moved"
+        assert server.board.posted_at("long") == changes[-1] + delay
+
+    def test_poll_dup_serves_the_posting_before_the_latest(self):
+        server, reads = self._run("poll-dup:at=0,duration=1s", probe_every=700)
+        times = [time for time, _ in server.history]
+        checked = 0
+        for now, value in reads:
+            if now in times:
+                continue  # same-instant order is not part of the contract
+            latest = sum(1 for time in times if time < now) - 1
+            if latest < 1:
+                continue
+            assert value == server.history[latest - 1][1].get("long"), now
+            checked += 1
+        assert checked > 10

@@ -11,6 +11,7 @@ from repro.sanitize.oracle import (
     check_decay_oracle,
     check_loop_oracle,
     dispatch_trace,
+    reference_loop,
 )
 from repro.sim import TraceLog, units
 from repro.workloads import SCHEDULER_NAMES, AppSpec, Scenario
@@ -70,9 +71,10 @@ class TestCompactionRegression:
     """The PR-1 bug class: ``run_until_done`` holds a local binding to the
     calendar heap across callbacks, so a compaction fired *inside* a
     callback must mutate the heap in place.  Force one mid-run and require
-    the fused loop's dispatch trace to match the plain loop's exactly."""
+    the fused loop's dispatch trace to match the plain reference loop's
+    exactly."""
 
-    def _run(self, loop):
+    def _run(self):
         trace = TraceLog(categories=["kernel.dispatch"])
         kernel = make_kernel(
             n_processors=2, quantum=units.ms(1), trace=trace,
@@ -103,23 +105,25 @@ class TestCompactionRegression:
             engine._compact()  # and once more, explicitly
 
         engine.schedule(units.ms(5), churn, "compaction-churn")
-        kernel.run_until_quiescent(loop=loop)
+        kernel.run_until_quiescent()
         sanitizer.finish()
         assert sanitizer.ok
         return dispatch_trace(trace)
 
     def test_fused_trace_matches_plain_after_forced_compaction(self):
-        plain = self._run("plain")
-        fused = self._run("fused")
+        with reference_loop():
+            plain = self._run()
+        fused = self._run()
         assert len(plain) > 10
         assert fused == plain
 
     def test_scenario_level_loops_agree_under_sanitizer(self):
-        """End-to-end: run_scenario with engine_loop plain vs fused under
-        strict sanitizing produces identical dispatch traces."""
+        """End-to-end: run_scenario under the plain reference loop vs the
+        fused loop, strictly sanitized, produces identical dispatch
+        traces."""
         from repro.workloads import run_scenario
 
-        def run(loop):
+        def run():
             trace = TraceLog(categories=["kernel.dispatch"])
             run_scenario(
                 Scenario(
@@ -129,8 +133,35 @@ class TestCompactionRegression:
                 ),
                 trace=trace,
                 config=RunConfig(sanitize="strict"),
-                engine_loop=loop,
             )
             return dispatch_trace(trace)
 
-        assert run("plain") == run("fused")
+        with reference_loop():
+            plain = run()
+        assert plain == run()
+
+
+class TestReferenceLoop:
+    def test_swap_is_scoped_and_restored_on_error(self):
+        from repro.sim import Engine
+
+        fused = Engine.run_until_done
+        with pytest.raises(RuntimeError):
+            with reference_loop():
+                assert Engine.run_until_done is not fused
+                raise RuntimeError("boom")
+        assert Engine.run_until_done is fused
+
+    def test_reference_loop_keeps_the_guards(self):
+        from repro.sim import Engine, SimulationError
+        from repro.sanitize.oracle import plain_run_until_done
+
+        engine = Engine()
+        engine.schedule(5, lambda: None, "lone")
+        with pytest.raises(SimulationError, match="deadlocked"):
+            plain_run_until_done(engine, lambda: False)
+        engine = Engine()
+        for i in range(3):
+            engine.schedule(i, lambda: None, "tick")
+        with pytest.raises(SimulationError, match="max_events"):
+            plain_run_until_done(engine, lambda: False, max_events=2)

@@ -1,8 +1,8 @@
 """Tests for the 1024-CPU/10k-app scale machinery.
 
-Covers the pieces the scale tier leans on: the fast (journal-replay)
-server scan against the legacy full-table scan, the sparse dirty-set
-control board, the kernel's idle-cpu set and per-app process index, the
+Covers the pieces the scale tier leans on: the sparse (journal-replay)
+server scan under the sanitizer's table-walk oracles, the sparse control
+board, the kernel's idle-cpu set and per-app process index, the
 weight-table CLI plumbing, and the timeline exporter's ``watchdog.*``
 surfacing.
 """
@@ -14,8 +14,10 @@ import pytest
 from repro.config import RunConfig, configured
 from repro.core.allocation import parse_weights
 from repro.core.server import ProcessControlServer
+from repro.kernel import Kernel
 from repro.kernel.ipc import ControlBoard
-from repro.sim import TraceLog, units
+from repro.sanitize import invariants
+from repro.sim import SimulationError, TraceLog, units
 from repro.sim.export import dump_timeline, timeline_events
 from repro.workloads import Scenario, run_scenario
 from repro.workloads.scenario import AppSpec
@@ -25,9 +27,11 @@ from tests.test_core_server import cpu_bound
 
 
 class TestFastScanEquivalence:
-    """fast_scan=True (journal replay + incremental filler) must reproduce
-    the legacy full-table scan's published targets, update times, and
-    event counts exactly."""
+    """The sparse scan (journal replay + incremental filler) must see what
+    a process-table walk at the syscall instant sees.  Under the strict
+    sanitizer the kernel census oracle walks the table at every
+    ``GetLoadSummary`` and the server scan oracle re-derives every round
+    from the journal, so a clean run proves it scan by scan."""
 
     @staticmethod
     def _scenario(shards=1):
@@ -54,48 +58,130 @@ class TestFastScanEquivalence:
             poll_interval=units.ms(60),
         )
 
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_fast_and_legacy_scans_agree(self, shards, monkeypatch):
-        fast = run_scenario(self._scenario(shards))
-        monkeypatch.setattr(ProcessControlServer, "fast_scan", False, raising=False)
-        legacy = run_scenario(self._scenario(shards))
-        assert fast.events_fired == legacy.events_fired
-        fast_updates = [
-            (r.time, r.data["targets"])
-            for r in fast.trace.records("server.update")
-        ]
-        legacy_updates = [
-            (r.time, r.data["targets"])
-            for r in legacy.trace.records("server.update")
-        ]
-        assert fast_updates == legacy_updates
+    @pytest.mark.parametrize(
+        "shards,policy", [(1, "equal"), (3, "equal"), (1, "demand")]
+    )
+    def test_scan_matches_table_walk(self, shards, policy, monkeypatch):
+        calls = {"census": 0, "scans": 0}
+        census = Kernel._verify_census
+        scan = invariants.check_server_scan
 
-    def test_fast_scan_is_the_default(self):
-        kernel = make_kernel(n_processors=4)
-        server = ProcessControlServer(kernel, interval=units.ms(100))
-        assert server.fast_scan is True
+        def counted_census(kernel, *args):
+            calls["census"] += 1
+            return census(kernel, *args)
+
+        def counted_scan(*args):
+            calls["scans"] += 1
+            return scan(*args)
+
+        monkeypatch.setattr(Kernel, "_verify_census", counted_census)
+        monkeypatch.setattr(invariants, "check_server_scan", counted_scan)
+        scenario = self._scenario(shards).with_(policy=policy)
+        checked = run_scenario(scenario, config=RunConfig(sanitize="strict"))
+        plain = run_scenario(scenario, config=RunConfig())
+        updates = [
+            (r.time, r.data["targets"])
+            for r in checked.trace.records("server.update")
+        ]
+        # Every scan was proved against the table walk and the journal...
+        assert calls["census"] == calls["scans"] == len(updates) > 0
+        # ...and checking perturbed nothing.
+        assert checked.events_fired == plain.events_fired
+        assert updates == [
+            (r.time, r.data["targets"])
+            for r in plain.trace.records("server.update")
+        ]
 
     def test_fast_scan_under_sanitizer_runs_both_oracles(self):
-        # The sanitizer arms the incremental-vs-batch check inside the
-        # server and the census walk inside the kernel; a clean run is
-        # the assertion.
+        # The sanitizer arms the scan oracle inside the server and the
+        # census walk inside the kernel; a clean run is the assertion.
         result = run_scenario(
             self._scenario(shards=3), config=RunConfig(sanitize="strict")
         )
         assert result.events_fired > 0
 
 
+class TestSparseScanOraclesCatchDrift:
+    """Each sanitizer-armed oracle fails a strict run on the drift it
+    guards against."""
+
+    @staticmethod
+    def _run(corrupt, shards=1):
+        from repro.core.plane import ControlPlane
+        from repro.sanitize import SchedSanitizer
+
+        kernel = make_kernel(n_processors=4)
+        plane = ControlPlane(kernel, shards=shards, interval=units.ms(10))
+        plane.start()
+        for app_id in ("a", "b", "c"):
+            plane.shard_of(app_id)
+            for i in range(2):
+                kernel.spawn(
+                    cpu_bound(units.ms(100)),
+                    name=f"{app_id}{i}",
+                    app_id=app_id,
+                    controllable=True,
+                )
+        sanitizer = SchedSanitizer(kernel, mode="strict").attach()
+        # Raw processes never obey targets: keep the share check's
+        # compliance window past the end of the run.
+        sanitizer.watch_server(
+            plane, poll_interval=units.ms(10), compliance_factor=100
+        )
+        kernel.engine.schedule_at(
+            units.ms(25), lambda: corrupt(kernel, plane), "corrupt"
+        )
+        kernel.run_until_quiescent()
+
+    def test_clean_run_passes(self):
+        self._run(lambda kernel, plane: None, shards=2)
+
+    def test_census_oracle_checks_runnable_by_app(self):
+        def corrupt(kernel, plane):
+            kernel._runnable_per_app["a"] += 1
+
+        with pytest.raises(SimulationError, match="sparse census diverged"):
+            self._run(corrupt)
+
+    def test_scan_oracle_checks_replayed_view(self):
+        def corrupt(kernel, plane):
+            plane.servers[0]._alive_view["a"] += 1
+
+        with pytest.raises(SimulationError, match="replayed census view"):
+            self._run(corrupt)
+
+    def test_scan_oracle_checks_shard_routing(self):
+        def corrupt(kernel, plane):
+            server = plane.servers[0]
+            stray = next(
+                app_id
+                for app_id, shard in plane.assignment.items()
+                if shard != 0
+            )
+            server._my_apps[stray] = server._alive_view[stray]
+            server._filler.set_cap(stray, server._alive_view[stray])
+
+        with pytest.raises(SimulationError, match="shard view diverged"):
+            self._run(corrupt, shards=2)
+
+
 class TestSparseBoard:
     def test_post_tracks_per_app_dirty_versions(self):
         board = ControlBoard()
         board.post({"a": 2, "b": 3}, now=10)
-        assert board.read_app("a") == (2, 1)
-        assert board.read_app("b") == (3, 1)
-        # Re-posting an unchanged entry does not dirty it.
+        assert board.targets == {"a": 2, "b": 3}
+        assert board.version == 1
+        assert board.target_posted_at == {"a": 10, "b": 10}
+        # Re-posting an unchanged entry does not restamp it.
         board.post({"a": 2, "b": 4}, now=20)
-        assert board.read_app("a") == (2, 1)
-        assert board.read_app("b") == (4, 2)
-        assert board.read_app("missing") == (None, 0)
+        assert board.targets == {"a": 2, "b": 4}
+        assert board.version == 2
+        assert board.target_posted_at == {"a": 10, "b": 20}
+        assert board.posted_at("missing") is None
+        # A full post drops the entries it no longer names.
+        board.post({"b": 4}, now=30)
+        assert board.targets == {"b": 4}
+        assert board.target_posted_at == {"b": 20}
 
     def test_post_delta_patches_in_place(self):
         board = ControlBoard()
@@ -104,15 +190,13 @@ class TestSparseBoard:
         assert board.targets == {"a": 2, "b": 5}
         assert board.version == 2
         assert board.updated_at == 25
-        assert board.read_app("a") == (2, 1)
-        assert board.read_app("b") == (5, 2)
-        assert board.read_app("c") == (None, 0)
+        assert board.target_posted_at == {"a": 10, "b": 25}
 
     def test_post_delta_noop_change_stays_clean(self):
         board = ControlBoard()
         board.post({"a": 2}, now=10)
         board.post_delta({"a": 2}, removals=(), now=20)
-        assert board.read_app("a") == (2, 1)
+        assert board.target_posted_at == {"a": 10}
         assert board.version == 2  # the scan happened...
         assert board.targets == {"a": 2}  # ...but nothing moved
 
