@@ -10,7 +10,9 @@ event meter only sees the measuring process, and serial runs make the
 throughput number comparable across hosts with different core counts.
 Event counts fingerprint the default configuration, so the harness takes
 only ``REPRO_SANITIZE`` from the environment and reports any other
-``REPRO_*`` knob it ignores.
+``REPRO_*`` knob it ignores.  Each measured tier's printed line also
+gives its cyclic-GC collections per generation and their total pause;
+those are host facts, printed but never written to the file.
 
 Run directly::
 
@@ -21,11 +23,12 @@ or via pytest (``benchmarks/test_bench_perf.py``).
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.apps.synthetic import UniformApp
 from repro.config import RunConfig, configured
@@ -130,10 +133,39 @@ EXPERIMENTS = {
 }
 
 
-def measure(name: str) -> Dict[str, object]:
-    """Run one experiment once, metered; return its perf record."""
+class GcMeter:
+    """Cyclic-GC collections per generation and their total pause, counted
+    via ``gc.callbacks`` while installed."""
+
+    def __init__(self) -> None:
+        self.collections = [0] * len(gc.get_count())
+        self.pause_s = 0.0
+        self._started = 0.0
+
+    def _callback(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.pause_s += time.perf_counter() - self._started
+            self.collections[info["generation"]] += 1
+
+    def __enter__(self) -> "GcMeter":
+        gc.callbacks.append(self._callback)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self._callback)
+
+    def __str__(self) -> str:
+        counts = "/".join(map(str, self.collections))
+        return f"gc {counts} collections, {self.pause_s:.3f}s pause"
+
+
+def measure(name: str) -> Tuple[Dict[str, object], GcMeter]:
+    """Run one experiment once, metered; return its perf record and the
+    collector's activity during the run (which the record leaves out)."""
     fn = EXPERIMENTS[name]
-    with runner.metered() as meter:
+    with runner.metered() as meter, GcMeter() as gc_meter:
         start = time.perf_counter()
         fn()
         wall = time.perf_counter() - start
@@ -142,7 +174,7 @@ def measure(name: str) -> Dict[str, object]:
         "events": meter.events,
         "events_per_sec": round(meter.events / wall) if wall > 0 else 0,
         "scenario_runs": meter.runs,
-    }
+    }, gc_meter
 
 
 def record(names: Optional[Iterable[str]] = None, path: Path = PERF_PATH) -> Dict:
@@ -155,7 +187,13 @@ def record(names: Optional[Iterable[str]] = None, path: Path = PERF_PATH) -> Dic
         except (ValueError, OSError):
             data = {}  # corrupt or unreadable: start the trajectory over
     for name in selected:
-        data[name] = measure(name)
+        entry, gc_meter = measure(name)
+        data[name] = entry
+        print(
+            f"{name:>14}: {entry['wall_s']:8.3f}s  "
+            f"{entry['events']:>9} events  {entry['events_per_sec']:>9} ev/s  "
+            f"{gc_meter}"
+        )
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return data
 
@@ -184,14 +222,17 @@ def check(
             print(f"{name:>14}: MISSING from {path.name}")
             clean = False
             continue
-        entry = measure(name)
+        entry, gc_meter = measure(name)
         got = entry["events"]
         if got == expected:
-            print(f"{name:>14}: {got:>9} events  ok  ({entry['wall_s']:.2f}s)")
+            print(
+                f"{name:>14}: {got:>9} events  ok  "
+                f"({entry['wall_s']:.2f}s, {gc_meter})"
+            )
         else:
             print(
                 f"{name:>14}: {got:>9} events  MISMATCH "
-                f"(committed {expected})"
+                f"(committed {expected}; {gc_meter})"
             )
             clean = False
         if budget_s is not None and entry["wall_s"] > budget_s:
@@ -239,12 +280,7 @@ def _main(argv: Optional[Iterable[str]]) -> None:
                 + (" (or a tier blew its wall budget)" if budget_s else "")
             )
         return
-    data = record(names or None)
-    for name, entry in sorted(data.items()):
-        print(
-            f"{name:>14}: {entry['wall_s']:8.3f}s  "
-            f"{entry['events']:>9} events  {entry['events_per_sec']:>9} ev/s"
-        )
+    record(names or None)
     print(f"wrote {PERF_PATH}")
 
 

@@ -6,10 +6,12 @@ host timing statistics) and merge-writes its entry into ``BENCH_perf.json``
 at the repository root so future PRs can compare against this one.
 """
 
+import gc
+
 import pytest
 
 from benchmarks.conftest import run_once
-from benchmarks.perf import EXPERIMENTS, PERF_PATH, measure, record
+from benchmarks.perf import EXPERIMENTS, PERF_PATH, GcMeter, measure, record
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
@@ -29,7 +31,22 @@ def test_perf_trajectory(benchmark, name):
 def test_measure_does_not_write():
     """`measure` is pure; only `record` touches BENCH_perf.json."""
     before = PERF_PATH.read_text() if PERF_PATH.exists() else None
-    entry = measure("figure4")
+    entry, _ = measure("figure4")
     assert entry["events"] > 0
     after = PERF_PATH.read_text() if PERF_PATH.exists() else None
     assert before == after
+
+
+def test_gc_meter_counts_collections_by_generation():
+    enabled = gc.isenabled()
+    gc.disable()  # no automatic collection inside the meter
+    try:
+        with GcMeter() as meter:
+            gc.collect(1)
+            gc.collect(2)
+    finally:
+        if enabled:
+            gc.enable()
+    assert meter.collections == [0, 1, 1]
+    assert meter.pause_s > 0
+    assert str(meter).startswith("gc 0/1/1 collections, ")

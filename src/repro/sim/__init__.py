@@ -18,12 +18,15 @@ Public API
 - :class:`~repro.sim.trace.TraceLog` / :class:`~repro.sim.trace.TraceRecord`
   -- structured event tracing used by the metrics layer.
 - :mod:`repro.sim.units` -- integer-microsecond time helpers.
+- :func:`~repro.sim.collector.collector_scope` -- keeps the cyclic garbage
+  collector off a run's live object graph (paused build, frozen loop).
 """
 
 from repro.sim.engine import Engine, EventHandle, RepeatingEvent, SimulationError
 from repro.sim.rand import RandomStreams
 from repro.sim.trace import TraceLog, TraceRecord, dispatch_digest
 from repro.sim.export import dump_trace, load_trace
+from repro.sim.collector import collector_scope
 from repro.sim import units
 
 __all__ = [
@@ -35,6 +38,7 @@ __all__ = [
     "TraceLog",
     "TraceRecord",
     "dispatch_digest",
+    "collector_scope",
     "dump_trace",
     "load_trace",
     "units",

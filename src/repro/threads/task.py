@@ -29,7 +29,7 @@ class SpawnTask:
     task: "Task"
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """One user-level thread.
 
@@ -57,6 +57,29 @@ class Task:
         return f"<Task {self.name!r} phase={self.phase}>"
 
 
+@dataclass(slots=True)
+class ComputeBody:
+    """The body of a :func:`compute_task`: a slotted callable, not a closure.
+
+    A closure would cost every task a function, a tuple and three cells,
+    all tracked by the cyclic collector while the task waits in a queue;
+    this is one object.  Each call returns a fresh generator.
+    """
+
+    cost: int
+    lock: Optional[SpinLock]
+    critical_cost: int
+
+    def __call__(self) -> Generator[Any, Any, None]:
+        if self.cost:
+            yield sc.Compute(self.cost)
+        lock = self.lock
+        if lock is not None and self.critical_cost:
+            yield sc.SpinAcquire(lock)
+            yield sc.Compute(self.critical_cost)
+            yield sc.SpinRelease(lock)
+
+
 def compute_task(
     name: str,
     cost: int,
@@ -73,13 +96,4 @@ def compute_task(
     """
     if cost < 0 or critical_cost < 0:
         raise ValueError("task costs must be >= 0")
-
-    def body():
-        if cost:
-            yield sc.Compute(cost)
-        if lock is not None and critical_cost:
-            yield sc.SpinAcquire(lock)
-            yield sc.Compute(critical_cost)
-            yield sc.SpinRelease(lock)
-
-    return Task(name=name, body=body, phase=phase)
+    return Task(name=name, body=ComputeBody(cost, lock, critical_cost), phase=phase)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.config import RunConfig, active_config
 from repro.core.allocation import (
@@ -27,7 +27,7 @@ from repro.metrics.latency import LatencyStats, tier_stats
 from repro.metrics.timeseries import StepSeries, runnable_series_from_trace
 from repro.resilience.watchdog import Watchdog
 from repro.sanitize.invariants import SchedSanitizer
-from repro.sim import Engine, TraceLog
+from repro.sim import Engine, TraceLog, collector_scope
 from repro.sync.stats import LockStats
 from repro.threads import make_package
 from repro.threads.package import ThreadsPackage, ThreadsPackageConfig
@@ -276,11 +276,28 @@ def run_scenario(
     active config, see :mod:`repro.config`); its ``sanitize`` mode picks
     the invariant checker.  The fault plan is seeded from
     ``scenario.seed``, so the same scenario + spec replays bit-identically.
+    The cyclic garbage collector stays off the run's object graph: paused
+    while it is built, and frozen while it runs if it is large
+    (:func:`repro.sim.collector_scope`).
     """
     if not scenario.apps:
         raise ValueError("scenario has no applications")
     if config is None:
         config = active_config()
+    # The run's object graph lives only in _simulate's frame, so it is
+    # garbage by the time the scope closes (see collector_scope).
+    with collector_scope() as enter_loop:
+        return _simulate(scenario, trace, max_events, config, enter_loop)
+
+
+def _simulate(
+    scenario: Scenario,
+    trace: Optional[TraceLog],
+    max_events: int,
+    config: RunConfig,
+    enter_loop: Callable[[], None],
+) -> ScenarioResult:
+    """Build, run and reduce *scenario*; see :func:`run_scenario`."""
     faults = _knob(scenario, config, "faults")
     fault_plan = FaultPlan.from_spec(faults, seed=scenario.seed) if faults else None
     engine = Engine()
@@ -407,6 +424,7 @@ def run_scenario(
     # live-process counter, which stays nonzero for most of the run (the
     # method is pre-bound so each check costs one call, not two).
     alive = kernel.alive_nondaemon_count
+    enter_loop()
     kernel.run_until_quiescent(
         done=lambda: alive() == 0 and all(p.finished for p in packages),
         max_events=max_events,
