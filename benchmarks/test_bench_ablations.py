@@ -6,7 +6,6 @@ Each asserts the direction the paper's analysis predicts.
 
 from benchmarks.conftest import run_once
 from repro.experiments.ablations import (
-    format_rows,
     run_cache_sweep,
     run_control_mode_comparison,
     run_idle_mode_comparison,
@@ -15,6 +14,7 @@ from repro.experiments.ablations import (
     run_quantum_sweep,
     run_seed_stability,
 )
+from repro.metrics import format_rows
 
 
 def test_cache_sweep(benchmark):

@@ -11,7 +11,8 @@ Shapes asserted:
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.ablations import format_rows, run_fairness_experiment
+from repro.experiments.ablations import run_fairness_experiment
+from repro.metrics import format_rows
 
 
 def test_fairness_experiment(benchmark):

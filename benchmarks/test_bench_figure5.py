@@ -8,8 +8,7 @@ finish.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.config import poll_interval
-from repro.experiments.figure4 import figure4_stagger
+from repro.experiments.config import get_preset
 from repro.experiments.figure5 import format_figure5, run_figure5
 from repro.sim import units
 
@@ -21,8 +20,8 @@ def test_figure5(benchmark):
     print()
     print(format_figure5(result, step=units.seconds(2)))
 
-    stagger = figure4_stagger(PRESET)
-    interval = poll_interval(PRESET)
+    stagger = get_preset(PRESET).figure4_stagger
+    interval = get_preset(PRESET).poll_interval
 
     # Uncontrolled: the machine is flooded to 48 runnable processes.
     assert result.off.total.maximum() >= 44

@@ -8,7 +8,8 @@ machine).
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.ablations import format_rows, run_scheduler_comparison
+from repro.experiments.ablations import run_scheduler_comparison
+from repro.metrics import format_rows
 
 TIME_SHARING = ("fifo", "decay", "coscheduling", "nopreempt", "affinity")
 

@@ -15,12 +15,10 @@ from repro.experiments.config import (
     PAPER_PROCESS_COUNTS,
     app_factories,
     paper_machine,
-    paper_scenario_defaults,
 )
 
 __all__ = [
     "paper_machine",
     "app_factories",
-    "paper_scenario_defaults",
     "PAPER_PROCESS_COUNTS",
 ]

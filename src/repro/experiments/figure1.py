@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.config import (
+    PAPER_SCHEDULER,
     app_factories,
-    paper_scenario_defaults,
-    process_counts,
+    get_preset,
+    paper_machine,
+    single_app_cell,
 )
 from repro.experiments.parallel import parallel_map
 from repro.metrics import format_table, speedup
@@ -48,30 +50,12 @@ class Figure1Result:
         return best.n_processes
 
 
-def _baseline_cell(args) -> int:
-    """Sweep cell: single-process wall time of one application."""
-    name, preset, seed = args
-    defaults = paper_scenario_defaults(preset, seed)
-    factories = app_factories(preset, seed)
-    result = run_scenario(
-        Scenario(
-            apps=[AppSpec(factories[name], 1)],
-            control=None,
-            machine=defaults.machine,
-            scheduler=defaults.scheduler,
-            seed=seed,
-        )
-    )
-    return result.apps[name].wall_time
-
-
 def figure1_scenario(n: int, preset: str = "paper", seed: int = 0) -> Scenario:
     """The figure's scenario at one processes-per-application point.
 
     Exposed separately so the golden-trace regression tests can replay
     exactly the runs the sweep measures.
     """
-    defaults = paper_scenario_defaults(preset, seed)
     factories = app_factories(preset, seed)
     return Scenario(
         apps=[
@@ -79,8 +63,8 @@ def figure1_scenario(n: int, preset: str = "paper", seed: int = 0) -> Scenario:
             AppSpec(factories["fft"], n),
         ],
         control=None,
-        machine=defaults.machine,
-        scheduler=defaults.scheduler,
+        machine=paper_machine(),
+        scheduler=PAPER_SCHEDULER,
         seed=seed,
     )
 
@@ -105,12 +89,20 @@ def run_figure1(
     workers, default: the run config's ``jobs``, then the cpu count) with
     bit-identical results in any mode.
     """
-    sweep = tuple(counts) or process_counts(preset)
+    sweep = tuple(counts) or get_preset(preset).process_counts
 
     baselines = parallel_map(
-        _baseline_cell, [(name, preset, seed) for name in ("matmul", "fft")], jobs
+        single_app_cell,
+        [
+            dict(app=name, n_processes=1, preset=preset, seed=seed)
+            for name in ("matmul", "fft")
+        ],
+        jobs,
     )
-    t1: Dict[str, int] = {"matmul": baselines[0], "fft": baselines[1]}
+    t1: Dict[str, int] = {
+        "matmul": baselines[0].wall_time,
+        "fft": baselines[1].wall_time,
+    }
 
     walls = parallel_map(_sweep_cell, [(n, preset, seed) for n in sweep], jobs)
     rows: List[Figure1Row] = [

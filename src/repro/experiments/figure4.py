@@ -16,24 +16,18 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.experiments.config import (
+    PAPER_SCHEDULER,
     app_factories,
-    paper_scenario_defaults,
-    poll_interval,
+    get_preset,
+    paper_machine,
 )
 from repro.metrics import format_table
-from repro.sim import units
 from repro.workloads import AppSpec, Scenario, ScenarioResult, run_scenario
 
-#: Arrival order and stagger of the paper's Figure 4 run.
+#: Arrival order of the paper's Figure 4 run (the stagger is per preset:
+#: :attr:`repro.experiments.config.Preset.figure4_stagger`).
 FIGURE4_ORDER = ("fft", "gauss", "matmul")
-FIGURE4_STAGGER = units.seconds(10)
 FIGURE4_PROCESSES = 16
-
-
-def figure4_stagger(preset: str) -> int:
-    """Arrival stagger: the paper's 10 s, shrunk for the quick preset so
-    the (smaller) quick applications still overlap as in the paper."""
-    return FIGURE4_STAGGER if preset == "paper" else units.seconds(3)
 
 
 def figure4_scenario(
@@ -43,23 +37,22 @@ def figure4_scenario(
     scheduler: Optional[str] = None,
 ) -> Scenario:
     """The Figure 4 (and Figure 5) scenario description."""
-    defaults = paper_scenario_defaults(preset, seed)
+    sizes = get_preset(preset)
     factories = app_factories(preset, seed)
-    stagger = figure4_stagger(preset)
     return Scenario(
         apps=[
             AppSpec(
                 factories[name],
                 FIGURE4_PROCESSES,
-                arrival=index * stagger,
+                arrival=index * sizes.figure4_stagger,
             )
             for index, name in enumerate(FIGURE4_ORDER)
         ],
         control=control,
-        machine=defaults.machine,
-        scheduler=scheduler or defaults.scheduler,
-        poll_interval=poll_interval(preset),
-        server_interval=poll_interval(preset),
+        machine=paper_machine(),
+        scheduler=scheduler or PAPER_SCHEDULER,
+        poll_interval=sizes.poll_interval,
+        server_interval=sizes.poll_interval,
         seed=seed,
     )
 
@@ -109,7 +102,7 @@ def format_figure4(result: Figure4Result) -> str:
         ["app", "wall off (s)", "wall on (s)", "off/on", "suspensions", "polls"],
         rows,
     )
-    stagger_s = figure4_stagger(result.preset) / 1e6
+    stagger_s = get_preset(result.preset).figure4_stagger / 1e6
     return (
         f"Figure 4: three applications started {stagger_s:.0f} s apart, "
         f"{FIGURE4_PROCESSES} processes each\n"

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import active_config
+from repro.experiments.config import get_preset
 from repro.experiments.parallel import parallel_map
 from repro.metrics import format_table
 from repro.workloads import run_scenario
@@ -50,13 +51,6 @@ HEAD_TO_HEAD_ARMS: Tuple[str, ...] = ("none", "restrict", "control", "combined")
 #: else waits passivated.  The serial path is then one critical section
 #: plus one constant hand-off -- the collapse-proof minimum.
 ADMISSION = 1
-
-#: Per-preset sizes: (tasks in the lock app, sweep thread counts,
-#: head-to-head thread count).
-_SIZES: Dict[str, Tuple[int, Tuple[int, ...], int]] = {
-    "quick": (96, (2, 4, 6, 8, 10, 12, 14), 24),
-    "paper": (192, (2, 3, 4, 5, 6, 8, 10, 12, 14, 16), 32),
-}
 
 #: Background tenant in the head-to-head: enough compute-bound workers
 #: that the 8-CPU machine is genuinely overcommitted.
@@ -74,11 +68,10 @@ def arm_knobs(arm: str) -> Tuple[Optional[int], Optional[str]]:
 
 def sweep_scenario(arm: str, threads: int, preset: str = "quick", seed: int = 0):
     """One saturation-sweep cell: the lock tenant alone on 16 CPUs."""
-    n_tasks, _, _ = _SIZES.get(preset, _SIZES["quick"])
     admission, control = arm_knobs(arm)
     return lock_saturation_scenario(
         threads,
-        n_tasks=n_tasks,
+        n_tasks=get_preset(preset).lock_tasks,
         admission=admission,
         control=control,
         n_processors=16,
@@ -88,11 +81,11 @@ def sweep_scenario(arm: str, threads: int, preset: str = "quick", seed: int = 0)
 
 def head_to_head_scenario(arm: str, preset: str = "quick", seed: int = 0):
     """One overcommit cell: lock tenant + background tenant on 8 CPUs."""
-    n_tasks, _, threads = _SIZES.get(preset, _SIZES["quick"])
+    sizes = get_preset(preset)
     admission, control = arm_knobs(arm)
     return lock_saturation_scenario(
-        threads,
-        n_tasks=n_tasks,
+        sizes.lock_head_to_head_threads,
+        n_tasks=sizes.lock_tasks,
         admission=admission,
         control=control,
         background_workers=_BACKGROUND_WORKERS,
@@ -197,7 +190,7 @@ def run_lock_collapse(
     head_arms: Tuple[str, ...] = HEAD_TO_HEAD_ARMS,
 ) -> LockCollapseResult:
     """Run the sweep and the head-to-head; cells fan out."""
-    _, thread_counts, _ = _SIZES.get(preset, _SIZES["quick"])
+    thread_counts = get_preset(preset).lock_threads
     sweep = parallel_map(
         _sweep_cell,
         [

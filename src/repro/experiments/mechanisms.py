@@ -21,7 +21,7 @@ from typing import Dict, List
 from repro.experiments.config import paper_machine
 from repro.kernel import Kernel, syscalls as sc
 from repro.machine import Machine
-from repro.metrics import format_table
+from repro.metrics import format_rows
 from repro.sim import Engine, units
 from repro.sync import Barrier, Semaphore, SpinBarrier, SpinLock, spin_barrier_wait
 
@@ -262,11 +262,7 @@ def run_all_mechanisms(n_processors: int = 8) -> Dict[str, List[Dict[str, object
 def format_mechanisms(tables: Dict[str, List[Dict[str, object]]]) -> str:
     blocks = ["Section 2 mechanisms, isolated (8 processors):"]
     for name, rows in tables.items():
-        headers = list(rows[0].keys())
-        blocks.append(
-            f"\n[{name}]\n"
-            + format_table(headers, [[r[h] for h in headers] for r in rows])
-        )
+        blocks.append("\n" + format_rows(f"[{name}]", rows))
     return "\n".join(blocks)
 
 

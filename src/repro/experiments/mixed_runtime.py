@@ -45,11 +45,12 @@ wall-clock services, not a millisecond-scale simulation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.apps.pipeline import PipelineApp
 from repro.apps.synthetic import BarrierHeavyApp, UniformApp
 from repro.core.allocation import make_policy
+from repro.experiments.config import get_preset
 from repro.experiments.parallel import parallel_map
 from repro.machine import MachineConfig
 from repro.metrics import format_table
@@ -64,13 +65,6 @@ SWEEP_ARMS: Tuple[str, ...] = ("equal", "demand", "slo", "compliance")
 #: two, the fork-join tenant's lag runs to a phase length (tens of ms).
 LAG_GRACE = units.ms(25)
 
-#: Per-preset workload sizes: (tq tasks, fj phases, pipe items, tasks
-#: per greedy wave).  Costs are fixed; the paper preset doubles the work.
-_SIZES: Dict[str, Tuple[int, int, int, int]] = {
-    "quick": (150, 5, 40, 24),
-    "paper": (300, 10, 80, 48),
-}
-
 #: Arrival times of the three uncontrolled waves.  Staggered so shrink
 #: targets land mid-phase for the fork-join tenant more than once.
 _WAVE_ARRIVALS: Tuple[int, ...] = (units.ms(50), units.ms(170), units.ms(290))
@@ -82,9 +76,8 @@ def mixed_runtime_scenario(arm: str, preset: str = "quick", seed: int = 0) -> Sc
     Exposed separately so tests can replay the exact runs the experiment
     measures (the acceptance test pins the quick-preset digests).
     """
-    tq_tasks, fj_phases, pipe_items, wave_tasks = _SIZES.get(
-        preset, _SIZES["quick"]
-    )
+    # Costs are fixed; the paper preset doubles the work.
+    tq_tasks, fj_phases, pipe_items, wave_tasks = get_preset(preset).mixed_runtime
     machine = MachineConfig(n_processors=12)
 
     def tq() -> UniformApp:

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.waste import waste_breakdown
 from repro.apps.synthetic import BarrierHeavyApp
+from repro.experiments.config import get_preset
 from repro.experiments.parallel import parallel_map
 from repro.machine import MachineConfig
 from repro.metrics import format_table
@@ -47,7 +48,7 @@ def overload_scenario(
     only be spent busy-waiting.  Exposed separately so tests can replay
     the exact runs the experiment measures.
     """
-    phases = 40 if preset == "paper" else 12
+    phases = get_preset(preset).overload_phases
     machine = MachineConfig(
         n_processors=16,
         quantum=units.ms(5),

@@ -36,17 +36,16 @@ Failure patterns:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.waste import waste_breakdown
-from repro.apps.synthetic import UniformApp
 from repro.config import active_config
-from repro.experiments.parallel import parallel_map
-from repro.machine import MachineConfig
+from repro.experiments.config import get_preset
+from repro.faults.campaign import (
+    DEFAULT_MAX_INFLATION,
+    ChaosReport,
+    run_fault_cells,
+)
 from repro.metrics import format_table
-from repro.sim import units
-from repro.workloads import AppSpec, Scenario, run_scenario
 
 #: Failure patterns swept by the recovery experiment (fault-plan specs
 #: against a 2-shard plane; see :mod:`repro.faults.plan` for the grammar).
@@ -75,177 +74,34 @@ RECOVERY_SHARDS = 2
 #: equipartition a restarted server restores (~1.25x at this fraction).
 RECOVERY_CRITICAL_FRACTION = 0.15
 
-
-def recovery_scenario(seed: int) -> Scenario:
-    """The sweep's workload: two lock-heavy apps oversubscribing 8 CPUs.
-
-    The same shape as :func:`repro.faults.campaign.chaos_scenario` (two
-    6-worker applications, 10ms intervals, 2-shard plane) but with a
-    critical-section fraction so losing control has a real cost.
-    """
-    machine = MachineConfig(
-        n_processors=8,
-        quantum=units.ms(5),
-        context_switch_cost=units.us(50),
-        dispatch_latency=units.us(10),
-        cache_cold_penalty=units.us(500),
-        cache_warmup_time=units.ms(2),
-        cache_purge_time=units.ms(4),
-    )
-    return Scenario(
-        apps=[
-            AppSpec(
-                lambda: UniformApp(
-                    "recovery-a",
-                    n_tasks=240,
-                    task_cost=units.ms(2),
-                    critical_fraction=RECOVERY_CRITICAL_FRACTION,
-                    jitter=0.2,
-                    seed=seed,
-                ),
-                n_processes=6,
-            ),
-            AppSpec(
-                lambda: UniformApp(
-                    "recovery-b",
-                    n_tasks=240,
-                    task_cost=units.ms(2),
-                    critical_fraction=RECOVERY_CRITICAL_FRACTION,
-                    jitter=0.2,
-                    seed=seed,
-                ),
-                n_processes=6,
-                arrival=units.ms(2),
-            ),
-        ],
-        control="centralized",
-        scheduler="fifo",
-        machine=machine,
-        server_interval=units.ms(10),
-        poll_interval=units.ms(10),
-        seed=seed,
-        max_time=units.seconds(5),
-        shards=RECOVERY_SHARDS,
-    )
+#: The recovery workload as :func:`repro.faults.campaign.chaos_scenario`
+#: keywords: the campaign's two 6-worker applications and 10ms intervals
+#: on a 2-shard plane, with the critical-section fraction above.
+RECOVERY_SHAPE = {
+    "scheduler": "fifo",
+    "shards": RECOVERY_SHARDS,
+    "critical_fraction": RECOVERY_CRITICAL_FRACTION,
+    "name": "recovery",
+}
 
 
-@dataclass
-class RecoveryCell:
-    """One (pattern, arm, seed) outcome."""
+class RecoveryReport(ChaosReport):
+    """The chaos report plus the supervised-vs-unsupervised check."""
 
-    pattern: str  # "baseline" for the healthy run
-    supervised: bool
-    seed: int
-    completed: bool
-    makespan: int
-    violations: int
-    #: us from the first injected crash to the last application's first
-    #: fresh re-poll; None = some application never reconverged.
-    reconverge: Optional[int]
-    failed_polls: int
-    target_expiries: int
-    restarts: int
-    failovers: int
-    idle_poll_pct: float
-    #: makespan / healthy-baseline makespan; 0.0 until the report fills it.
-    inflation: float = 0.0
+    title = "recovery sweep"
 
-
-def _reconverge_time(result) -> Optional[int]:
-    """us from the first applied crash until every app re-polled fresh."""
-    crashes = [
-        time
-        for time, kind, details in result.fault_events
-        if kind == "server_crash" and details.get("applied")
-    ]
-    if not crashes:
-        return None
-    first_crash = min(crashes)
-    latest: Dict[str, int] = {}
-    for record in result.trace.records("pc.poll"):
-        app_id = record.data["app_id"]
-        if record.time >= first_crash and app_id not in latest:
-            latest[app_id] = record.time
-    if set(latest) != set(result.apps):
-        return None
-    return max(latest.values()) - first_crash
-
-
-def _recovery_cell(args) -> RecoveryCell:
-    """Sweep cell (module-level so it pickles for the process pool)."""
-    pattern, supervised, seed, config = args
-    scenario = recovery_scenario(seed).with_(supervise=supervised)
-    result = run_scenario(scenario, config=config)
-    completed = all(
-        app.finished_at is not None and app.finished_at >= 0
-        for app in result.apps.values()
-    ) and result.sim_time < scenario.max_time
-    counters = result.watchdog_counters or {}
-    return RecoveryCell(
-        pattern=pattern,
-        supervised=supervised,
-        seed=seed,
-        completed=completed,
-        makespan=result.makespan if completed else scenario.max_time,
-        violations=result.sanitizer_violations,
-        reconverge=_reconverge_time(result) if config.faults else None,
-        failed_polls=sum(app.failed_polls for app in result.apps.values()),
-        target_expiries=sum(
-            app.target_expiries for app in result.apps.values()
-        ),
-        restarts=counters.get("restarts", 0),
-        failovers=counters.get("failovers", 0),
-        idle_poll_pct=waste_breakdown(result).as_percentages()["idle_poll"],
-    )
-
-
-@dataclass
-class RecoveryReport:
-    """The sweep's cells plus the acceptance logic."""
-
-    cells: List[RecoveryCell]
-    baselines: Dict[int, int]  # seed -> healthy makespan
-    patterns: Dict[str, str]
-    seeds: Tuple[int, ...]
-    sanitize: str = "record"
-    failures: List[str] = field(default_factory=list)
-
-    def cell(
-        self, pattern: str, supervised: bool, seed: int
-    ) -> Optional[RecoveryCell]:
-        for cell in self.cells:
-            if (
-                cell.pattern == pattern
-                and cell.supervised == supervised
-                and cell.seed == seed
-            ):
-                return cell
-        return None
-
-    @property
-    def total_violations(self) -> int:
-        return sum(cell.violations for cell in self.cells)
-
-    @property
-    def deadlocks(self) -> int:
-        return sum(1 for cell in self.cells if not cell.completed)
-
-    def check(self) -> List[str]:
-        """All acceptance failures (empty list = clean sweep)."""
-        failures: List[str] = []
-        for cell in self.cells:
-            arm = "supervised" if cell.supervised else "unsupervised"
-            where = f"{cell.pattern}/{arm}/seed={cell.seed}"
-            if not cell.completed:
-                failures.append(f"deadlock: {where} missed the time cap")
-            if cell.violations:
-                failures.append(
-                    f"invariants: {where} logged {cell.violations} violations"
-                )
-        for pattern in self.patterns:
+    def check(self, max_inflation: float = DEFAULT_MAX_INFLATION) -> List[str]:
+        """The campaign's checks, then every (pattern, seed) whose
+        supervised arm inflated more than its unsupervised arm."""
+        failures = super().check(max_inflation)
+        arms = {
+            (cell.injector, cell.supervised, cell.seed): cell
+            for cell in self.cells
+        }
+        for pattern in self.injectors:
             for seed in self.seeds:
-                sup = self.cell(pattern, True, seed)
-                unsup = self.cell(pattern, False, seed)
+                sup = arms.get((pattern, True, seed))
+                unsup = arms.get((pattern, False, seed))
                 if sup is None or unsup is None:
                     continue
                 if sup.inflation > unsup.inflation:
@@ -255,14 +111,6 @@ class RecoveryReport:
                         f"unsupervised {unsup.inflation:.3f}x"
                     )
         return failures
-
-    def assert_clean(self) -> None:
-        """Raise AssertionError listing every acceptance failure."""
-        failures = self.check()
-        if failures:
-            raise AssertionError(
-                "recovery sweep failed:\n  " + "\n  ".join(failures)
-            )
 
     def format_report(self) -> str:
         """Deterministic text report (byte-identical across reruns)."""
@@ -279,37 +127,33 @@ class RecoveryReport:
             "idle_poll%",
             "ok",
         ]
-        rows = []
-        for cell in self.cells:
-            rows.append(
-                [
-                    cell.pattern,
-                    "supervised" if cell.supervised else "ttl-only",
-                    cell.seed,
-                    cell.makespan,
-                    f"{cell.inflation:.3f}",
-                    cell.reconverge if cell.reconverge is not None else "-",
-                    cell.target_expiries,
-                    cell.restarts,
-                    cell.failovers,
-                    f"{cell.idle_poll_pct:.2f}",
-                    "yes" if cell.completed else "NO",
-                ]
-            )
+        rows = [
+            [
+                cell.injector,
+                "supervised" if cell.supervised else "ttl-only",
+                cell.seed,
+                cell.makespan,
+                f"{cell.inflation:.3f}",
+                cell.reconverge if cell.reconverge is not None else "-",
+                cell.target_expiries,
+                cell.restarts,
+                cell.failovers,
+                f"{cell.idle_poll_pct:.2f}",
+                "yes" if cell.completed else "NO",
+            ]
+            for cell in self.cells
+        ]
         lines = [
             "Recovery sweep: supervised watchdog vs TTL-only degradation "
-            f"({len(self.patterns)} failure patterns x {len(self.seeds)} "
+            f"({len(self.injectors)} failure patterns x {len(self.seeds)} "
             f"seeds, shards={RECOVERY_SHARDS}, sanitize={self.sanitize})",
             format_table(headers, rows),
             "",
-            f"violations={self.total_violations} deadlocks={self.deadlocks}",
         ]
-        failures = self.check()
-        if failures:
-            lines.append("FAILURES:")
-            lines.extend(f"  {failure}" for failure in failures)
-        else:
-            lines.append("clean: supervision beat TTL-only in every cell")
+        lines += self._verdict(
+            f"violations={self.total_violations} deadlocks={self.deadlocks}",
+            "clean: supervision beat TTL-only in every cell",
+        )
         return "\n".join(lines)
 
 
@@ -322,40 +166,30 @@ def run_recovery(
 ) -> RecoveryReport:
     """Run the sweep: healthy baselines + each pattern, both arms.
 
-    *sanitize* defaults to the active config's mode, or ``"record"`` when
-    that is off, so the sweep always runs checked.  Each cell's fault plan
-    is pinned (the baseline runs healthy); every other knob follows the
-    active config.
+    *seeds* defaults to the preset's ``fault_seeds``.  *sanitize* defaults
+    to the active config's mode, or ``"record"`` when that is off, so the
+    sweep always runs checked.  Each cell's fault plan is pinned (the
+    baseline runs healthy); every other knob follows the active config.
     """
-    if seeds is None:
-        seeds = (0, 1, 2) if preset == "quick" else (0, 1, 2, 3, 4)
+    preset_seeds = get_preset(preset).fault_seeds
+    seeds = tuple(preset_seeds if seeds is None else seeds)
     if patterns is None:
         patterns = dict(RECOVERY_PATTERNS)
     config = active_config()
     sanitize = sanitize or config.sanitize or "record"
-    seeds = tuple(seeds)
 
     healthy = config.with_(sanitize=sanitize, faults=None)
-    cells_args = [("baseline", False, seed, healthy) for seed in seeds]
+    unsupervised = dict(RECOVERY_SHAPE, supervise=False)
+    cells_args = [("baseline", seed, unsupervised, healthy) for seed in seeds]
     for pattern, spec in patterns.items():
         faulted = healthy.with_(faults=spec)
         for supervised in (False, True):
-            for seed in seeds:
-                cells_args.append((pattern, supervised, seed, faulted))
-    cells: List[RecoveryCell] = parallel_map(_recovery_cell, cells_args, jobs)
-
-    baselines: Dict[int, int] = {
-        cell.seed: cell.makespan
-        for cell in cells
-        if cell.pattern == "baseline"
-    }
-    for cell in cells:
-        base = baselines.get(cell.seed, 0)
-        cell.inflation = cell.makespan / base if base else 0.0
+            shape = dict(RECOVERY_SHAPE, supervise=supervised)
+            cells_args += [(pattern, seed, shape, faulted) for seed in seeds]
     return RecoveryReport(
-        cells=cells,
-        baselines=baselines,
-        patterns=patterns,
+        cells=run_fault_cells(cells_args, jobs),
+        injectors=patterns,
+        schedulers=(RECOVERY_SHAPE["scheduler"],),
         seeds=seeds,
         sanitize=sanitize,
     )

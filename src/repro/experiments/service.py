@@ -35,10 +35,11 @@ would drown the allocation signal the experiment is after.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.apps.service import ServiceApp
 from repro.apps.synthetic import UniformApp
+from repro.experiments.config import get_preset
 from repro.experiments.parallel import parallel_map
 from repro.machine import MachineConfig
 from repro.metrics import format_table
@@ -47,15 +48,6 @@ from repro.workloads import AppSpec, Scenario, run_scenario
 
 #: Arms the sweep compares; ``uncontrolled`` disables process control.
 SWEEP_ARMS: Tuple[str, ...] = ("uncontrolled", "equal", "demand", "slo")
-
-#: Offered request rates (per second) per preset.  Per-request work is
-#: 4 x 4 ms stages + 2 ms reduce = 18 ms, so the machine-share the
-#: service needs is rate * 0.018: ~3.2 CPUs at 180/s up to ~5.4 at 300/s
-#: -- past its 4-CPU equipartition share from the middle of the sweep on.
-SWEEP_RATES: Dict[str, Tuple[float, ...]] = {
-    "quick": (250.0,),
-    "paper": (180.0, 250.0, 300.0),
-}
 
 
 def service_mix_scenario(
@@ -66,7 +58,7 @@ def service_mix_scenario(
     Exposed separately so tests can replay the exact runs the experiment
     measures (the acceptance test pins the quick-preset digest).
     """
-    n_requests = 160 if preset == "paper" else 120
+    n_requests = get_preset(preset).service_requests
     machine = MachineConfig(n_processors=8)
 
     def service() -> ServiceApp:
@@ -146,8 +138,15 @@ def run_service(
     jobs: Optional[int] = None,
     arms: Tuple[str, ...] = SWEEP_ARMS,
 ) -> List[ServiceCell]:
-    """Run the mix once per (arm, offered rate); cells fan out."""
-    rates = SWEEP_RATES.get(preset, SWEEP_RATES["quick"])
+    """Run the mix once per (arm, offered rate); cells fan out.
+
+    The offered rates are the preset's ``service_rates``.  Per-request
+    work is 4 x 4 ms stages + 2 ms reduce = 18 ms, so the machine-share
+    the service needs is rate * 0.018: ~3.2 CPUs at 180/s up to ~5.4 at
+    300/s -- past its 4-CPU equipartition share from the middle of the
+    paper sweep on.
+    """
+    rates = get_preset(preset).service_rates
     return parallel_map(
         _service_cell,
         [(arm, rate, preset, seed) for rate in rates for arm in arms],

@@ -17,16 +17,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.apps import FFT, Gauss, MatMul, MergeSort
-from repro.experiments.config import paper_machine, poll_interval
+from repro.experiments.config import get_preset, paper_machine
 from repro.experiments.parallel import parallel_map
-from repro.metrics import format_table
+from repro.metrics import format_rows
 from repro.sim import units
 from repro.workloads import Scenario, run_scenario
-from repro.workloads.generator import (
-    GeneratedWorkloadConfig,
-    build_app_specs,
-    generate_arrivals,
-)
+from repro.workloads.generator import build_app_specs, generate_arrivals
 
 #: Template factories: (app_id, scale, seed) -> Application.
 def default_templates():
@@ -56,22 +52,6 @@ class SteadyStateResult:
         return self.makespan_off_s / self.makespan_on_s
 
 
-def _workload_config(preset: str) -> GeneratedWorkloadConfig:
-    if preset == "paper":
-        return GeneratedWorkloadConfig(
-            window=units.seconds(90),
-            arrival_rate_per_s=0.08,
-            scale_range=(0.3, 0.8),
-            min_apps=4,
-        )
-    return GeneratedWorkloadConfig(
-        window=units.seconds(20),
-        arrival_rate_per_s=0.25,
-        scale_range=(0.15, 0.35),
-        min_apps=3,
-    )
-
-
 def steady_state_scenario(
     control: Optional[str], preset: str = "quick", seed: int = 0
 ) -> Scenario:
@@ -80,9 +60,9 @@ def steady_state_scenario(
     Exposed separately so the golden-trace regression tests can replay
     exactly the runs the experiment measures.
     """
-    config = _workload_config(preset)
-    arrivals = generate_arrivals(config, seed=seed)
-    interval = poll_interval(preset)
+    sizes = get_preset(preset)
+    arrivals = generate_arrivals(sizes.steady_state, seed=seed)
+    interval = sizes.poll_interval
     return Scenario(
         apps=build_app_specs(arrivals, default_templates(), seed=seed),
         control=control,
@@ -118,8 +98,7 @@ def run_steady_state(
     The off and on runs are independent simulations of the same generated
     workload, so they fan out as two :func:`parallel_map` cells.
     """
-    config = _workload_config(preset)
-    arrivals = generate_arrivals(config, seed=seed)
+    arrivals = generate_arrivals(get_preset(preset).steady_state, seed=seed)
     templates = default_templates()
     machine = paper_machine()
 
@@ -166,10 +145,6 @@ def run_steady_state(
 
 
 def format_steady_state(result: SteadyStateResult) -> str:
-    headers = list(result.per_app[0].keys())
-    table = format_table(
-        headers, [[row[h] for h in headers] for row in result.per_app]
-    )
     summary = (
         f"\napplications: {result.n_apps}; makespan off/on: "
         f"{result.makespan_off_s:.1f}s / {result.makespan_on_s:.1f}s "
@@ -179,8 +154,10 @@ def format_steady_state(result: SteadyStateResult) -> str:
         f"{result.worst_slowdown_off:.2f} / {result.worst_slowdown_on:.2f}"
     )
     return (
-        "Steady-state multiprogramming (random arrivals, control off vs on)\n"
-        + table
+        format_rows(
+            "Steady-state multiprogramming (random arrivals, control off vs on)",
+            result.per_app,
+        )
         + summary
     )
 

@@ -12,15 +12,22 @@ Cells fan out over :func:`repro.experiments.parallel.parallel_map`, so the
 sweep is order-stable and bit-identical whether it runs serially or on all
 cores -- and :meth:`ChaosReport.format_report` is byte-identical for the
 same seed set, which the determinism test pins.
+
+This module is the one fault-sweep implementation: the recovery sweep
+(:mod:`repro.experiments.recovery`) runs the same cells through
+:func:`run_fault_cells` and extends :class:`ChaosReport` with its
+supervised-vs-unsupervised check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.waste import waste_breakdown
 from repro.apps.synthetic import UniformApp
-from repro.config import active_config
+from repro.config import RunConfig, active_config
+from repro.experiments.config import get_preset
 from repro.experiments.parallel import parallel_map
 from repro.machine import MachineConfig
 from repro.sim import units
@@ -84,13 +91,19 @@ def chaos_scenario(
     seed: int,
     faults: Optional[str] = None,
     shards: Optional[int] = None,
+    supervise: Optional[bool] = None,
+    critical_fraction: float = 0.0,
+    name: str = "chaos",
 ) -> Scenario:
     """The campaign's workload: two controlled apps oversubscribing 8 CPUs.
 
     Small on purpose (a cell takes well under a second of host time) but
     structurally complete: centralized control, a poll/server interval the
     faults can race with, and enough oversubscription that targets bind.
-    *shards* sizes the control plane (``None`` = the run config's).
+    *shards* sizes the control plane and *supervise* arms the watchdog
+    (``None`` = the run config's).  *critical_fraction* puts part of every
+    task inside a spinlock, so losing control has a real cost; *name*
+    prefixes the two application ids (which also seed their jitter).
     """
     machine = MachineConfig(
         n_processors=8,
@@ -105,9 +118,10 @@ def chaos_scenario(
         apps=[
             AppSpec(
                 lambda: UniformApp(
-                    "chaos-a",
+                    f"{name}-a",
                     n_tasks=240,
                     task_cost=units.ms(2),
+                    critical_fraction=critical_fraction,
                     jitter=0.2,
                     seed=seed,
                 ),
@@ -115,9 +129,10 @@ def chaos_scenario(
             ),
             AppSpec(
                 lambda: UniformApp(
-                    "chaos-b",
+                    f"{name}-b",
                     n_tasks=240,
                     task_cost=units.ms(2),
+                    critical_fraction=critical_fraction,
                     jitter=0.2,
                     seed=seed,
                 ),
@@ -134,16 +149,19 @@ def chaos_scenario(
         max_time=units.seconds(5),
         faults=faults,
         shards=shards,
+        supervise=supervise,
     )
 
 
 @dataclass
-class ChaosCell:
-    """One campaign cell: (injector plan, scheduler, seed) -> outcome."""
+class FaultCell:
+    """One (fault plan, scenario shape, seed) -> outcome."""
 
     injector: str  # "baseline" for the healthy run
     scheduler: str
     seed: int
+    #: Whether the control-plane watchdog ran.
+    supervised: bool
     completed: bool
     makespan: int
     sim_time: int
@@ -152,47 +170,109 @@ class ChaosCell:
     fault_events: int
     failed_polls: int
     target_expiries: int
-    #: makespan / healthy-baseline makespan; 0.0 until the report fills it.
+    restarts: int
+    failovers: int
+    #: us from the first injected crash to the last application's first
+    #: fresh re-poll; None = no crash, or some application never
+    #: reconverged.
+    reconverge: Optional[int]
+    idle_poll_pct: float
+    #: makespan / healthy-baseline makespan; 0.0 until the sweep fills it.
     inflation: float = 0.0
 
+    @property
+    def where(self) -> str:
+        arm = "/supervised" if self.supervised else ""
+        return f"{self.injector}/{self.scheduler}{arm}/seed={self.seed}"
 
-def _chaos_cell(args) -> ChaosCell:
-    """Sweep cell (module-level so it pickles for the process pool)."""
-    injector, scheduler, seed, shards, config = args
-    scenario = chaos_scenario(scheduler, seed, shards=shards)
+
+def _reconverge_time(result) -> Optional[int]:
+    """us from the first applied crash until every app re-polled fresh."""
+    crashes = [
+        time
+        for time, kind, details in result.fault_events
+        if kind == "server_crash" and details.get("applied")
+    ]
+    if not crashes:
+        return None
+    first_crash = min(crashes)
+    latest: Dict[str, int] = {}
+    for record in result.trace.records("pc.poll"):
+        app_id = record.data["app_id"]
+        if record.time >= first_crash and app_id not in latest:
+            latest[app_id] = record.time
+    if set(latest) != set(result.apps):
+        return None
+    return max(latest.values()) - first_crash
+
+
+def _fault_cell(args) -> FaultCell:
+    """Sweep cell (module-level so it pickles for the process pool).
+
+    *args* is ``(injector, seed, shape, config)``: *shape* holds the
+    :func:`chaos_scenario` keywords, *config* carries the fault plan.
+    """
+    injector, seed, shape, config = args
+    scenario = chaos_scenario(seed=seed, **shape)
     result = run_scenario(scenario, config=config)
+    apps = result.apps.values()
     completed = all(
-        package.finished_at is not None and package.finished_at >= 0
-        for package in result.apps.values()
+        app.finished_at is not None and app.finished_at >= 0 for app in apps
     ) and result.sim_time < scenario.max_time
-    return ChaosCell(
+    counters = result.watchdog_counters
+    return FaultCell(
         injector=injector,
-        scheduler=scheduler,
+        scheduler=scenario.scheduler,
         seed=seed,
+        supervised=counters is not None,
         completed=completed,
         makespan=result.makespan if completed else scenario.max_time,
         sim_time=result.sim_time,
         violations=result.sanitizer_violations,
         faults_injected=result.faults_injected,
         fault_events=len(result.fault_events),
-        failed_polls=sum(app.failed_polls for app in result.apps.values()),
-        target_expiries=sum(
-            app.target_expiries for app in result.apps.values()
-        ),
+        failed_polls=sum(app.failed_polls for app in apps),
+        target_expiries=sum(app.target_expiries for app in apps),
+        restarts=(counters or {}).get("restarts", 0),
+        failovers=(counters or {}).get("failovers", 0),
+        reconverge=_reconverge_time(result),
+        idle_poll_pct=waste_breakdown(result).as_percentages()["idle_poll"],
     )
+
+
+def run_fault_cells(
+    cells_args: List[Tuple[str, int, Dict[str, Any], RunConfig]],
+    jobs: Optional[int] = None,
+) -> List[FaultCell]:
+    """Run :func:`_fault_cell` over *cells_args* and fill in inflation.
+
+    Each cell's inflation is its makespan over the ``"baseline"`` cell's
+    with the same scheduler and seed.
+    """
+    cells: List[FaultCell] = parallel_map(_fault_cell, cells_args, jobs)
+    baselines = {
+        (cell.scheduler, cell.seed): cell.makespan
+        for cell in cells
+        if cell.injector == "baseline"
+    }
+    for cell in cells:
+        base = baselines.get((cell.scheduler, cell.seed), 0)
+        cell.inflation = cell.makespan / base if base else 0.0
+    return cells
 
 
 @dataclass
 class ChaosReport:
-    """Everything a campaign run produced, reduced for assertion/printing."""
+    """Everything a fault sweep produced, reduced for assertion/printing."""
 
-    cells: List[ChaosCell]
-    baselines: Dict[Tuple[str, int], int]  # (scheduler, seed) -> makespan
+    cells: List[FaultCell]
     injectors: Dict[str, str]
     schedulers: Tuple[str, ...]
     seeds: Tuple[int, ...]
     sanitize: str = "record"
-    failures: List[str] = field(default_factory=list)
+
+    #: What :meth:`assert_clean` says failed.
+    title = "chaos campaign"
 
     @property
     def total_violations(self) -> int:
@@ -207,19 +287,19 @@ class ChaosReport:
         return max((cell.inflation for cell in self.cells), default=0.0)
 
     def check(self, max_inflation: float = DEFAULT_MAX_INFLATION) -> List[str]:
-        """All acceptance failures (empty list = clean campaign)."""
+        """All acceptance failures (empty list = clean sweep)."""
         failures: List[str] = []
         for cell in self.cells:
-            where = f"{cell.injector}/{cell.scheduler}/seed={cell.seed}"
             if not cell.completed:
-                failures.append(f"deadlock: {where} missed the time cap")
+                failures.append(f"deadlock: {cell.where} missed the time cap")
             if cell.violations:
                 failures.append(
-                    f"invariants: {where} logged {cell.violations} violations"
+                    f"invariants: {cell.where} logged {cell.violations} "
+                    "violations"
                 )
             if cell.inflation > max_inflation:
                 failures.append(
-                    f"inflation: {where} ran {cell.inflation:.2f}x the "
+                    f"inflation: {cell.where} ran {cell.inflation:.2f}x the "
                     f"healthy baseline (cap {max_inflation:.2f}x)"
                 )
         return failures
@@ -231,8 +311,15 @@ class ChaosReport:
         failures = self.check(max_inflation)
         if failures:
             raise AssertionError(
-                "chaos campaign failed:\n  " + "\n  ".join(failures)
+                f"{self.title} failed:\n  " + "\n  ".join(failures)
             )
+
+    def _verdict(self, summary: str, clean: str) -> List[str]:
+        """The report's closing lines: *summary*, then failures or *clean*."""
+        failures = self.check()
+        if not failures:
+            return [summary, clean]
+        return [summary, "FAILURES:"] + [f"  {failure}" for failure in failures]
 
     def format_report(self) -> str:
         """Deterministic text report (byte-identical across reruns)."""
@@ -255,16 +342,11 @@ class ChaosReport:
                 f"{'yes' if cell.completed else 'NO':>3}"
             )
         lines.append("")
-        lines.append(
+        lines += self._verdict(
             f"violations={self.total_violations} deadlocks={self.deadlocks} "
-            f"max_inflation={self.max_inflation:.3f}"
+            f"max_inflation={self.max_inflation:.3f}",
+            "clean",
         )
-        failures = self.check()
-        if failures:
-            lines.append("FAILURES:")
-            lines.extend(f"  {failure}" for failure in failures)
-        else:
-            lines.append("clean")
         return "\n".join(lines)
 
 
@@ -292,25 +374,22 @@ def run_campaign(
     seeds = tuple(seeds)
 
     plans = {"baseline": None, **injectors}
-    cells_args = [
-        (name, scheduler, seed, shards, config.with_(sanitize=sanitize, faults=spec))
-        for scheduler in schedulers
-        for seed in seeds
-        for name, spec in plans.items()
-    ]
-    cells: List[ChaosCell] = parallel_map(_chaos_cell, cells_args, jobs)
-
-    baselines: Dict[Tuple[str, int], int] = {
-        (cell.scheduler, cell.seed): cell.makespan
-        for cell in cells
-        if cell.injector == "baseline"
-    }
-    for cell in cells:
-        base = baselines.get((cell.scheduler, cell.seed), 0)
-        cell.inflation = cell.makespan / base if base else 0.0
+    cells = run_fault_cells(
+        [
+            (
+                name,
+                seed,
+                {"scheduler": scheduler, "shards": shards},
+                config.with_(sanitize=sanitize, faults=spec),
+            )
+            for scheduler in schedulers
+            for seed in seeds
+            for name, spec in plans.items()
+        ],
+        jobs,
+    )
     return ChaosReport(
         cells=cells,
-        baselines=baselines,
         injectors=injectors,
         schedulers=schedulers,
         seeds=seeds,
@@ -320,7 +399,6 @@ def run_campaign(
 
 def main(preset: str = "quick") -> None:  # pragma: no cover - CLI glue
     """CLI entry (``python -m repro.experiments chaos``): run + assert."""
-    seeds = (0, 1, 2) if preset == "quick" else (0, 1, 2, 3, 4)
-    report = run_campaign(seeds=seeds)
+    report = run_campaign(seeds=get_preset(preset).fault_seeds)
     print(report.format_report())
     report.assert_clean()

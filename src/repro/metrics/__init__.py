@@ -11,6 +11,7 @@ from repro.metrics.latency import (
     tier_stats,
 )
 from repro.metrics.report import (
+    format_rows,
     format_run_header,
     format_sanitizer_summary,
     format_table,
@@ -27,6 +28,7 @@ __all__ = [
     "tier_stats",
     "format_latency_table",
     "format_table",
+    "format_rows",
     "format_run_header",
     "format_sanitizer_summary",
 ]

@@ -6,7 +6,7 @@ these helpers keep the output aligned and consistent.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Mapping, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -29,6 +29,18 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
             "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)).rstrip()
         )
     return "\n".join(lines)
+
+
+def format_rows(title: str, rows: Sequence[Mapping[str, object]]) -> str:
+    """Render row dicts as a titled table; the first row's keys are the
+    columns."""
+    if not rows:
+        return f"{title}\n(no rows)"
+    headers = list(rows[0])
+    table = format_table(
+        headers, [[row.get(h, "") for h in headers] for row in rows]
+    )
+    return f"{title}\n{table}"
 
 
 def format_run_header(title: str, **params: object) -> str:

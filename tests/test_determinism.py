@@ -13,31 +13,19 @@ These tests pin that down three ways:
 
 from __future__ import annotations
 
-from repro.experiments.figure1 import run_figure1
+import pytest
+
+from repro.experiments.ablations import run_quantum_sweep
+from repro.experiments.figure1 import figure1_scenario, run_figure1
 from repro.experiments.figure4 import run_figure4
-from repro.experiments.config import app_factories, paper_scenario_defaults
 from repro.sim import TraceLog
-from repro.workloads import AppSpec, Scenario, run_scenario
+from repro.workloads import run_scenario
 
 
 def _figure1_point(n: int):
     """One Figure 1 sweep point (quick preset), traced in full."""
-    defaults = paper_scenario_defaults("quick", 0)
-    factories = app_factories("quick", 0)
     trace = TraceLog()  # unfiltered: every category, every record
-    result = run_scenario(
-        Scenario(
-            apps=[
-                AppSpec(factories["matmul"], n),
-                AppSpec(factories["fft"], n),
-            ],
-            control=None,
-            machine=defaults.machine,
-            scheduler=defaults.scheduler,
-            seed=0,
-        ),
-        trace=trace,
-    )
+    result = run_scenario(figure1_scenario(n, "quick", 0), trace=trace)
     return result, trace
 
 
@@ -63,13 +51,22 @@ def test_figure1_metrics_identical_across_runs():
     assert first.rows == second.rows
 
 
-def test_figure1_parallel_runner_matches_serial():
+#: Sweeps the serial-vs-parallel test runs both ways: (sweep, jobs) ->
+#: comparable result.
+PARALLEL_SWEEPS = {
+    "figure1": lambda jobs: run_figure1(preset="quick", counts=(4, 8), jobs=jobs),
+    "quantum-sweep": lambda jobs: run_quantum_sweep(
+        preset="quick", quanta_ms=(25, 50), jobs=jobs
+    ),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(PARALLEL_SWEEPS))
+def test_parallel_runner_matches_serial(sweep):
     """jobs=2 exercises the ProcessPoolExecutor path (or its serial
     fallback in sandboxes that forbid fork -- identical either way)."""
-    serial = run_figure1(preset="quick", counts=(4, 8), jobs=1)
-    parallel = run_figure1(preset="quick", counts=(4, 8), jobs=2)
-    assert serial.t1 == parallel.t1
-    assert serial.rows == parallel.rows
+    run = PARALLEL_SWEEPS[sweep]
+    assert run(1) == run(2)
 
 
 def test_figure4_metrics_identical_across_runs():

@@ -6,19 +6,27 @@ The claim-evaluation and series logic is tested against synthetic data
 
 import pytest
 
+from repro.experiments import (
+    lock_collapse,
+    mixed_runtime,
+    policies,
+    recovery,
+    service,
+    steady_state,
+)
 from repro.experiments.claims import evaluate_claims
 from repro.experiments.config import (
+    PRESETS,
     app_factories,
+    get_preset,
     paper_machine,
-    paper_scenario_defaults,
-    poll_interval,
-    process_counts,
 )
 from repro.experiments.figure1 import Figure1Result, Figure1Row, format_figure1, run_figure1
 from repro.experiments.figure2 import run_figure2, format_figure2
 from repro.experiments.figure3 import Figure3Curve, Figure3Result, format_figure3, run_figure3_app
-from repro.experiments.figure4 import figure4_scenario, figure4_stagger
+from repro.experiments.figure4 import figure4_scenario
 from repro.experiments.figure5 import Figure5Series
+from repro.faults import campaign
 from repro.metrics.timeseries import StepSeries
 from repro.sim import units
 
@@ -32,24 +40,52 @@ class TestConfig:
     def test_presets(self):
         assert len(app_factories("paper")) == 4
         assert len(app_factories("quick")) == 4
-        assert process_counts("paper")[-1] == 24
-        assert poll_interval("paper") == units.seconds(6)
+        assert get_preset("paper").process_counts[-1] == 24
+        assert get_preset("paper").poll_interval == units.seconds(6)
+        assert set(PRESETS) == {"paper", "quick"}
         with pytest.raises(ValueError):
             app_factories("huge")
         with pytest.raises(ValueError):
-            process_counts("huge")
-        with pytest.raises(ValueError):
-            poll_interval("huge")
+            get_preset("huge")
 
     def test_quick_apps_are_smaller(self):
         quick = app_factories("quick")["fft"]()
         paper = app_factories("paper")["fft"]()
         assert quick.total_work() < paper.total_work()
 
-    def test_defaults_bundle(self):
-        defaults = paper_scenario_defaults("paper", seed=3)
-        assert defaults.scheduler == "decay"
-        assert defaults.seed == 3
+
+#: Entry points that size their runs by preset: each must reject an
+#: unknown preset instead of silently running another one.
+PRESET_ENTRY_POINTS = {
+    "service.run_service": lambda p: service.run_service(p),
+    "service.service_mix_scenario": lambda p: service.service_mix_scenario(
+        "slo", 250.0, p
+    ),
+    "lock_collapse.run_lock_collapse": lambda p: lock_collapse.run_lock_collapse(p),
+    "lock_collapse.sweep_scenario": lambda p: lock_collapse.sweep_scenario(
+        "none", 4, p
+    ),
+    "lock_collapse.head_to_head_scenario": (
+        lambda p: lock_collapse.head_to_head_scenario("none", p)
+    ),
+    "mixed_runtime.mixed_runtime_scenario": (
+        lambda p: mixed_runtime.mixed_runtime_scenario("equal", p)
+    ),
+    "policies.overload_scenario": lambda p: policies.overload_scenario("equal", p),
+    "recovery.run_recovery": lambda p: recovery.run_recovery(p),
+    "campaign.main": lambda p: campaign.main(p),
+    "steady_state.steady_state_scenario": (
+        lambda p: steady_state.steady_state_scenario(None, p)
+    ),
+    "steady_state.run_steady_state": lambda p: steady_state.run_steady_state(p),
+    "figure4_scenario": lambda p: figure4_scenario(None, p),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(PRESET_ENTRY_POINTS))
+def test_unknown_preset_rejected(entry_point):
+    with pytest.raises(ValueError, match="unknown preset 'huge'"):
+        PRESET_ENTRY_POINTS[entry_point]("huge")
 
 
 class TestFigure4Scenario:
@@ -60,7 +96,7 @@ class TestFigure4Scenario:
         assert all(spec.n_processes == 16 for spec in scenario.apps)
 
     def test_quick_preset_shrinks_stagger(self):
-        assert figure4_stagger("quick") < figure4_stagger("paper")
+        assert PRESETS["quick"].figure4_stagger < PRESETS["paper"].figure4_stagger
 
     def test_control_mode_plumbed(self):
         scenario = figure4_scenario("centralized", preset="quick")

@@ -9,7 +9,6 @@ campaign, and a pinned golden recovery report.
 """
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -27,6 +26,7 @@ from repro.faults.campaign import chaos_scenario, run_campaign, shard_injectors
 from repro.kernel.ipc import ControlBoard
 from repro.machine.config import MachineConfig
 from repro.resilience import Watchdog, WatchdogConfig
+from repro.scenarios.golden import mismatch_message, update_requested
 from repro.sim import TraceLog, units
 from repro.threads.control import ControlState
 from repro.workloads import AppSpec, Scenario, run_scenario
@@ -586,14 +586,17 @@ class TestGoldenRecoveryReport:
         report.assert_clean()
         text = report.format_report() + "\n"
         golden_path = GOLDEN_DIR / "recovery_shard_dead.txt"
-        if os.environ.get("REPRO_UPDATE_GOLDEN"):
+        if update_requested():
             GOLDEN_DIR.mkdir(exist_ok=True)
             golden_path.write_text(text)
-        assert golden_path.exists(), (
-            f"missing golden file {golden_path}; generate with "
-            "REPRO_UPDATE_GOLDEN=1"
-        )
-        assert text == golden_path.read_text(), (
-            "recovery report diverged from the committed golden copy; if "
-            "intentional, regenerate with REPRO_UPDATE_GOLDEN=1 and commit"
-        )
+        pinned = golden_path.read_text() if golden_path.exists() else ""
+        if text != pinned:
+            pytest.fail(
+                mismatch_message(
+                    golden_path.name,
+                    dict(enumerate(text.splitlines())),
+                    dict(enumerate(pinned.splitlines())),
+                    "PYTHONPATH=src python -m pytest "
+                    "tests/test_resilience.py -k golden",
+                )
+            )
