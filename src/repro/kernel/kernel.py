@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.kernel.config import KernelConfig
@@ -100,10 +101,20 @@ class Kernel:
         #: Online processors with no current process.  The dispatch pass
         #: visits these (ascending, matching the full scan's order) instead
         #: of every online cpu, so a pass on a mostly-busy 1024-CPU machine
-        #: costs O(idle), not O(processors).  Maintained at the only two
-        #: sites that change ``Processor.current`` (_dispatch/_undispatch)
-        #: plus hot-plug.
+        #: never touches the busy ones.  Maintained at the only two sites
+        #: that change ``Processor.current`` (_dispatch/_undispatch) plus
+        #: hot-plug.
         self._idle_cpus = set(range(self.machine.n_processors))
+        #: Shared-queue policies only: a min-heap of idle cpu ids, pushed
+        #: wherever ``_idle_cpus`` gains a cpu, so the dispatch pass takes
+        #: the lowest idle cpu without sorting the idle set.  Entries for
+        #: cpus that have since gone busy or offline, and duplicates, are
+        #: dropped lazily when they reach the top.
+        self._idle_heap: Optional[List[int]] = (
+            list(range(self.machine.n_processors))
+            if self.policy.shared_queue
+            else None
+        )
         self._dispatch_scheduled = False
         # Hot-path caches: the processor list never changes after
         # construction, and the per-cpu completion callbacks close over
@@ -328,6 +339,8 @@ class Kernel:
             return False
         self._offline.discard(cpu)
         self._idle_cpus.add(cpu)
+        if self._idle_heap is not None:
+            heappush(self._idle_heap, cpu)
         self._dispatch_cpus = tuple(
             c for c in range(self.machine.n_processors) if c not in self._offline
         )
@@ -493,32 +506,57 @@ class Kernel:
         if not idle:
             return
         if self._check_census:
-            actual = {
-                cpu
-                for cpu in self._dispatch_cpus
-                if self._processors[cpu].current is None
-            }
-            if idle != actual:
-                raise SimulationError(
-                    f"idle-cpu set drifted: tracked {sorted(idle)} "
-                    f"actual {sorted(actual)}"
-                )
+            self._verify_idle_tracking()
+        heap = self._idle_heap
+        if heap is not None:
+            # Shared queue: lowest idle cpu first, the order a full scan
+            # would visit.  A cpu is popped only once the policy hands it a
+            # process, and one empty pull answers for every other idle
+            # processor, so an idle machine with an empty queue costs O(1).
+            dequeue = self._policy_dequeue
+            while heap:
+                cpu = heap[0]
+                if cpu not in idle:
+                    heappop(heap)  # stale: busy, offline, or a duplicate
+                    continue
+                process = dequeue(cpu)
+                if process is None:
+                    return
+                heappop(heap)
+                self._dispatch(cpu, process)
+            return
         # Ascending id order, exactly like the full scan the set replaces.
         cpus = (
             self._dispatch_cpus
             if len(idle) == len(self._dispatch_cpus)
             else sorted(idle)
         )
-        shared = self.policy.shared_queue
         for cpu in cpus:
             if self._processors[cpu].current is None:
                 process = self._policy_dequeue(cpu)
                 if process is not None:
                     self._dispatch(cpu, process)
-                elif shared:
-                    # One empty pull from a shared queue answers for every
-                    # remaining idle processor.
-                    return
+
+    def _verify_idle_tracking(self) -> None:
+        """Sanitizer cross-check: the idle set matches the processors, and
+        (shared-queue policies) every idle cpu has an idle-heap entry."""
+        idle = self._idle_cpus
+        actual = {
+            cpu
+            for cpu in self._dispatch_cpus
+            if self._processors[cpu].current is None
+        }
+        if idle != actual:
+            raise SimulationError(
+                f"idle-cpu set drifted: tracked {sorted(idle)} "
+                f"actual {sorted(actual)}"
+            )
+        if self._idle_heap is not None:
+            missing = idle.difference(self._idle_heap)
+            if missing:
+                raise SimulationError(
+                    f"idle cpus {sorted(missing)} have no idle-heap entry"
+                )
 
     def _dispatch(self, cpu: int, process: Process) -> None:
         processor = self._processors[cpu]
@@ -613,6 +651,8 @@ class Kernel:
         processor.current = None
         if cpu not in self._offline:
             self._idle_cpus.add(cpu)
+            if self._idle_heap is not None:
+                heappush(self._idle_heap, cpu)
         process.cpu = None
         process.last_cpu = cpu
         self._mark(cpu, "idle")
@@ -762,7 +802,9 @@ class Kernel:
         tries to wake a corpse.
         """
         if process.state is ProcessState.READY:
-            # The policy drops its queue entry in on_process_exit.
+            # Only a READY process still holds a run-queue entry; a process
+            # exiting on a cpu was dequeued when it was dispatched.
+            self.policy.discard(process)
             self._census_lose(process)
         elif process.state is ProcessState.BLOCKED:
             self._detach_from_wait_list(process)
@@ -923,8 +965,9 @@ class Kernel:
 
             syscall_type = type(syscall)
             if syscall_type is compute_type:
-                # Inlined :meth:`_sys_compute`: Compute dominates every
-                # workload's syscall mix, so skip the handler dispatch.
+                # Compute dominates every workload's syscall mix, so it is
+                # served here rather than through the handler table (which
+                # has no entry for it, nor for any subclass of it).
                 remaining = syscall.remaining
                 if remaining is None:
                     remaining = syscall.remaining = syscall.amount
@@ -950,23 +993,8 @@ class Kernel:
                 return
 
     # Each handler returns True to continue the service loop immediately,
-    # False if the process left the loop (blocked, spinning, computing,
-    # exited, or a cost segment was scheduled).
-
-    def _sys_compute(self, cpu: int, process: Process, syscall: sc.Compute) -> bool:
-        if syscall.remaining is None:
-            syscall.remaining = syscall.amount
-        if syscall.remaining <= 0:
-            process.pending_syscall = None
-            process.syscall_result = None
-            return True
-        state = self._cpu[cpu]
-        state.segment_kind = "compute"
-        state.segment_started = self.engine.now
-        state.segment_event = self._schedule(
-            syscall.remaining, self._cb_compute_done[cpu], "compute"
-        )
-        return False
+    # False if the process left the loop (blocked, spinning, exited, or a
+    # cost segment was scheduled).
 
     def _sys_spin_acquire(
         self, cpu: int, process: Process, syscall: sc.SpinAcquire
@@ -1530,7 +1558,6 @@ class Kernel:
         return False
 
     _HANDLERS = {
-        sc.Compute: _sys_compute,
         sc.SpinAcquire: _sys_spin_acquire,
         sc.SpinRelease: _sys_spin_release,
         sc.MutexAcquire: _sys_mutex_acquire,

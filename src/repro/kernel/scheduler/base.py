@@ -14,8 +14,9 @@ deliberately small:
 * :meth:`quantum_for` -- per-dispatch quantum, default the machine's.
 
 Policies may also keep per-process state via the spawn/exit notifications
-and may schedule their own events through ``self.kernel.engine`` (the gang
-scheduler uses this for its epoch ticks).
+(:meth:`discard` is the only call that asks a policy to drop a queued
+process) and may schedule their own events through ``self.kernel.engine``
+(the gang scheduler uses this for its epoch ticks).
 """
 
 from __future__ import annotations
@@ -77,7 +78,21 @@ class SchedulerPolicy(ABC):
         """Notification: a process entered the system (before enqueue)."""
 
     def on_process_exit(self, process: "Process") -> None:
-        """Notification: a process terminated."""
+        """Notification: a process terminated.
+
+        Per-process cleanup only: a process that exits on a processor was
+        dequeued when it was dispatched, so it holds no run-queue entry
+        here and the hot exit path must not search for one.
+        """
+
+    def discard(self, process: "Process") -> None:
+        """Drop the run-queue entry of a READY *process* being killed.
+
+        Called only when a process is terminated while queued (the kernel's
+        kill path), before :meth:`on_process_exit`.  Policies whose queues
+        would otherwise hand the corpse out, or count it in
+        :meth:`queued_census`, remove it here.
+        """
 
     def on_cpu_offline(self, cpu: int) -> None:
         """Notification: the kernel took *cpu* out of service (hot-unplug).

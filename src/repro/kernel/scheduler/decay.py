@@ -148,6 +148,9 @@ class PriorityDecayScheduler(SchedulerPolicy):
         # (superseded seqs) are not part of the logical queue.
         return {pid: 1 for pid in self._queued}
 
+    def discard(self, process: Process) -> None:
+        # Its heap entry goes stale and is skipped lazily on pop.
+        del self._queued[process.pid]
+
     def on_process_exit(self, process: Process) -> None:
         self._usage.pop(process.pid, None)
-        self._queued.pop(process.pid, None)

@@ -36,7 +36,7 @@ class FifoScheduler(SchedulerPolicy):
 
     def dequeue(self, cpu: int) -> Optional[Process]:
         # Skip any process that terminated while queued (defensive; the
-        # kernel never leaves terminated processes queued today).
+        # kernel discards a killed process's entry before terminating it).
         while self._queue:
             process = self._queue.popleft()
             if process.state is ProcessState.READY:
@@ -56,10 +56,5 @@ class FifoScheduler(SchedulerPolicy):
             census[process.pid] = census.get(process.pid, 0) + 1
         return census
 
-    def on_process_exit(self, process: Process) -> None:
-        # Cheap removal attempt keeps the queue tidy if a queued process is
-        # ever terminated externally.
-        try:
-            self._queue.remove(process)
-        except ValueError:
-            pass
+    def discard(self, process: Process) -> None:
+        self._queue.remove(process)

@@ -88,8 +88,5 @@ class NoPreemptAwareScheduler(SchedulerPolicy):
             census[process.pid] = census.get(process.pid, 0) + 1
         return census
 
-    def on_process_exit(self, process: Process) -> None:
-        try:
-            self._queue.remove(process)
-        except ValueError:
-            pass
+    def discard(self, process: Process) -> None:
+        self._queue.remove(process)

@@ -184,14 +184,11 @@ class SpacePartitionScheduler(SchedulerPolicy):
                 self._active_apps.append(group)
                 self._repartition()
 
+    def discard(self, process: Process) -> None:
+        self._queues[self._group_key(process)].remove(process)
+
     def on_process_exit(self, process: Process) -> None:
         group = self._group_key(process)
-        queue = self._queues.get(group)
-        if queue is not None:
-            try:
-                queue.remove(process)
-            except ValueError:
-                pass
         if group == SYSTEM_GROUP:
             self._system_process_count -= 1
             if self._system_process_count == 0:

@@ -483,8 +483,7 @@ class SchedSanitizer:
             process = self.kernel.machine.processors[cpu].current
             original(cpu)
             if process is not None:
-                # The policy dropped its entries in on_process_exit; a
-                # terminated process must not linger in the shadow census.
+                # A terminated process must not linger in the shadow census.
                 self._queued.pop(process.pid, None)
             self._maybe_deep()
 
@@ -502,8 +501,8 @@ class SchedSanitizer:
                     pid,
                 )
             original(process)
-            # Same cleanup as the exit shim: the policy dropped any queue
-            # entry the killed process still had.
+            # Same cleanup as the exit shim: the policy discarded any
+            # queue entry the killed process still had.
             self._queued.pop(pid, None)
             self._maybe_deep()
 

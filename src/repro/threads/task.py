@@ -12,7 +12,7 @@ threads to the task queue".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
 from repro.kernel import syscalls as sc
@@ -38,7 +38,9 @@ class Task:
         body: generator factory executed by whichever worker dequeues the
             task.
         phase: optional phase index (used by phased applications).
-        meta: free-form application payload.
+        meta: free-form application payload, or ``None`` (the default, so
+            the many tasks that carry none allocate no dict; readers
+            truth-test it).
         urgent: enqueue at the *front* of the task queue instead of the
             back.  Service applications mark their dispatcher segments
             urgent so request admission keeps pace with the arrival clock
@@ -50,7 +52,7 @@ class Task:
     name: str
     body: TaskBody
     phase: int = 0
-    meta: dict = field(default_factory=dict)
+    meta: Optional[dict] = None
     urgent: bool = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
